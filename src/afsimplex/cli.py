@@ -127,11 +127,16 @@ def _build_parser() -> _Parser:
 
 def _make_mode(args) -> NumericMode:
     if args.numeric == "float":
-        return FloatMode(eps=args.eps)
+        try:
+            return FloatMode(eps=args.eps)
+        except ValueError as exc:
+            raise _UsageError(f"--eps {args.eps}: {exc}") from exc
     return EXACT
 
 
 def _make_config(args) -> SolveConfig:
+    if args.max_iters is not None and args.max_iters < 0:
+        raise _UsageError("--max-iters must not be negative")
     return SolveConfig(
         tie_break=TieBreak(args.tie),
         max_iterations=args.max_iters,

@@ -1,5 +1,5 @@
-"""Simplex dictionaries: an (m+1) x (n+1) array of exact entries plus
-the basis bookkeeping, with the pivot transform that re-expresses it.
+"""Simplex dictionaries: an (m+1) x (n+1) array of entries plus the basis
+bookkeeping, with the pivot transform that re-expresses it.
 
 Row 0 holds the objective (entry [0][0] is the current objective value),
 column 0 holds the right-hand sides, and public indices are 1-based so
@@ -10,16 +10,27 @@ read as
     z       = d_00 - sum_j d_0j * nonbasic_j
 
 so an objective-row entry is the negated reduced cost of its column.
+
+Entries are stored as numerators `num` over one common denominator
+`den` > 0, so d_ij = num[i][j] / den.  In exact mode the numerators are
+integers and a pivot is the integer-preserving step of Edmonds (1967) and
+Bareiss (1968): every division in it is exact and no gcd is ever taken.
+In float mode the numerators are the float entries themselves and den is
+1.  Because den is positive, sign tests and comparisons within one
+dictionary read the numerators directly; `entries`, `entry`, `rhs`,
+`objective_value`, `basic_solution` and `corner` build the values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Optional
+from fractions import Fraction
+from typing import Callable, Optional
 
 from .model import StandardProblem
-from .numeric import EXACT, NumericMode, Value
+from .numeric import EXACT, ExactMode, NumericMode, Value
 
 
 class ZeroPivot(ValueError):
@@ -73,39 +84,108 @@ class DictStatus:
     unbounded_column: Optional[int]
 
 
-@dataclass(frozen=True)
 class Dictionary:
-    basis: tuple[Label, ...]
-    nonbasis: tuple[Label, ...]
-    entries: tuple[tuple[Value, ...], ...]
-    mode: NumericMode = EXACT
+    """An immutable simplex dictionary; see the module docstring.
 
-    def __post_init__(self):
-        if len(self.entries) != self.m + 1:
+    `Dictionary(basis, nonbasis, entries, mode)` takes the entry grid as
+    values.  In exact mode den starts as D0, the least common multiple of
+    the entries' denominators.  Every label keeps a scale for the
+    dictionary's lifetime: D0 if it was basic when the dictionary was
+    built, 1 otherwise.  A pivot multiplies all numerators and den by
+    sigma = scale(leaving) / scale(entering), which keeps every division
+    exact on rational input; on integer input D0 = 1 and sigma is always 1.
+    """
+
+    __slots__ = (
+        "basis", "nonbasis", "num", "den", "mode", "m", "n", "_exact", "_d0", "_scaled"
+    )
+
+    def __init__(
+        self,
+        basis: tuple[Label, ...],
+        nonbasis: tuple[Label, ...],
+        entries: tuple[tuple[Value, ...], ...],
+        mode: NumericMode = EXACT,
+    ):
+        basis, nonbasis = tuple(basis), tuple(nonbasis)
+        rows = tuple(tuple(row) for row in entries)
+        if len(rows) != len(basis) + 1:
             raise ValueError("entry grid must have m+1 rows")
-        for row in self.entries:
-            if len(row) != self.n + 1:
+        for row in rows:
+            if len(row) != len(nonbasis) + 1:
                 raise ValueError("entry grid must have n+1 columns")
-        if set(self.basis) & set(self.nonbasis):
+        if set(basis) & set(nonbasis):
             raise ValueError("a label cannot be basic and nonbasic at once")
+        if isinstance(mode, ExactMode):
+            fracs = [
+                [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+                for row in rows
+            ]
+            den = math.lcm(*(x.denominator for row in fracs for x in row))
+            rows = tuple(
+                tuple(x.numerator * (den // x.denominator) for x in row) for row in fracs
+            )
+        else:
+            den = 1
+        self._set(basis, nonbasis, rows, den, mode, den, frozenset(basis))
+
+    def _set(self, basis, nonbasis, num, den, mode, d0, scaled) -> None:
+        self.basis = basis
+        self.nonbasis = nonbasis
+        self.num = num
+        self.den = den
+        self.mode = mode
+        self.m = len(basis)
+        self.n = len(nonbasis)
+        self._exact = isinstance(mode, ExactMode)
+        self._d0 = d0
+        self._scaled = scaled
+
+    def _derive(self, basis, nonbasis, num, den) -> "Dictionary":
+        """A dictionary reached from this one; label scales carry over."""
+        d = object.__new__(Dictionary)
+        d._set(basis, nonbasis, num, den, self.mode, self._d0, self._scaled)
+        return d
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Dictionary):
+            return NotImplemented
+        return (
+            self.basis == other.basis
+            and self.nonbasis == other.nonbasis
+            and self.mode == other.mode
+            and self.entries == other.entries
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.basis, self.nonbasis, self.entries))
+
+    def __repr__(self) -> str:
+        return (
+            f"Dictionary(basis={self.basis!r}, nonbasis={self.nonbasis!r}, "
+            f"entries={self.entries!r}, mode={self.mode!r})"
+        )
+
+    def value(self, x) -> Value:
+        """The value a numerator of this dictionary stands for: x / den."""
+        return Fraction(x, self.den) if self._exact else x
 
     @property
-    def m(self) -> int:
-        return len(self.basis)
-
-    @property
-    def n(self) -> int:
-        return len(self.nonbasis)
+    def entries(self) -> tuple[tuple[Value, ...], ...]:
+        if not self._exact:
+            return self.num
+        den = self.den
+        return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     def entry(self, i: int, j: int) -> Value:
-        return self.entries[i][j]
+        return self.value(self.num[i][j])
 
     def rhs(self, i: int) -> Value:
-        return self.entries[i][0]
+        return self.value(self.num[i][0])
 
     @property
     def objective_value(self) -> Value:
-        return self.entries[0][0]
+        return self.value(self.num[0][0])
 
     def row_label(self, i: int) -> Label:
         return self.basis[i - 1]
@@ -120,7 +200,7 @@ class Dictionary:
     def pivot(self, r: int, m: int) -> "Dictionary":
         """Exchange basis row r with nonbasis column m.
 
-        Implements the standard dictionary pivot: with p = d_rm,
+        The values follow the standard dictionary pivot: with p = d_rm,
 
             d'_rm = 1/p          d'_rj = d_rj / p
             d'_im = -d_im / p    d'_ij = d_ij - d_im * d_rj / p
@@ -131,39 +211,77 @@ class Dictionary:
         """
         if not (1 <= r <= self.m and 1 <= m <= self.n):
             raise IndexError(f"pivot ({r}, {m}) outside dictionary")
-        d = self.entries
-        p = d[r][m]
-        if self.mode.is_zero(p):
-            raise ZeroPivot(f"entry ({r}, {m}) = {p!r} classifies as zero")
-
-        rows = []
-        for i in range(self.m + 1):
-            if i == r:
-                rows.append(
-                    tuple(
-                        1 / p if j == m else d[r][j] / p
-                        for j in range(self.n + 1)
-                    )
-                )
-            else:
-                factor = d[i][m] / p
-                rows.append(
-                    tuple(
-                        -factor if j == m else d[i][j] - factor * d[r][j]
-                        for j in range(self.n + 1)
-                    )
-                )
-
+        if self.mode.is_zero(self.num[r][m]):
+            raise ZeroPivot(f"entry ({r}, {m}) = {self.entry(r, m)!r} classifies as zero")
+        den, pivot_row, update = self._rule(r, m)
+        num = tuple(
+            pivot_row if i == r else update(row) for i, row in enumerate(self.num)
+        )
         basis = list(self.basis)
         nonbasis = list(self.nonbasis)
         basis[r - 1], nonbasis[m - 1] = nonbasis[m - 1], basis[r - 1]
-        return Dictionary(tuple(basis), tuple(nonbasis), tuple(rows), self.mode)
+        return self._derive(tuple(basis), tuple(nonbasis), num, den)
+
+    def carry(self, row: tuple, r: int, m: int) -> tuple:
+        """An extra row over this dictionary's den (an objective row that
+        rides along) as it reads after the pivot on (r, m)."""
+        return self._rule(r, m)[2](row)
+
+    def _rule(self, r: int, m: int) -> tuple[int, tuple, Callable[[tuple], tuple]]:
+        """(new den, new pivot row, update of any other row) for (r, m)."""
+        prow = self.num[r]
+        p = prow[m]
+        if not self._exact:
+
+            def update(row: tuple) -> tuple:
+                f = row[m] / p
+                new = [x - f * y for x, y in zip(row, prow)]
+                new[m] = -f
+                return tuple(new)
+
+            pivot_row = [y / p for y in prow]
+            pivot_row[m] = 1 / p
+            return 1, tuple(pivot_row), update
+
+        # With sigma = sn / sd:  N'_ij = (N_ij * p - N_im * N_rj) * sigma / D,
+        # N'_rj = sigma * N_rj, N'_im = -sigma * N_im, N'_rm = sigma * D and
+        # D' = sigma * p.  A negative p flips the sign of sigma, so that D'
+        # stays positive; that negates every row, which leaves the values.
+        den = self.den
+        sn, sd = self._sigma(r, m)
+        if p < 0:
+            sn = -sn
+        ps, dv = p * sn, den * sd
+
+        def update(row: tuple) -> tuple:
+            a = row[m]
+            if not a:
+                return row if ps == dv else tuple([x * ps // dv for x in row])
+            asn = a * sn
+            new = [(x * ps - asn * y) // dv for x, y in zip(row, prow)]
+            new[m] = -asn // sd
+            return tuple(new)
+
+        pivot_row = [y * sn // sd for y in prow]
+        pivot_row[m] = den * sn // sd
+        return ps // sd, tuple(pivot_row), update
+
+    def _sigma(self, r: int, m: int) -> tuple[int, int]:
+        """scale(leaving) / scale(entering) as a (numerator, denominator) pair."""
+        d0 = self._d0
+        if d0 == 1:
+            return 1, 1
+        leaving = self.basis[r - 1] in self._scaled
+        entering = self.nonbasis[m - 1] in self._scaled
+        if leaving is entering:
+            return 1, 1
+        return (d0, 1) if leaving else (1, d0)
 
     def drop_column(self, m: int) -> "Dictionary":
         """Remove nonbasis position m (used to retire artificial columns)."""
         nonbasis = self.nonbasis[: m - 1] + self.nonbasis[m:]
-        rows = tuple(row[:m] + row[m + 1 :] for row in self.entries)
-        return Dictionary(self.basis, nonbasis, rows, self.mode)
+        num = tuple(row[:m] + row[m + 1 :] for row in self.num)
+        return self._derive(self.basis, nonbasis, num, self.den)
 
     def classify(self) -> DictStatus:
         """Feasibility flags plus one-line certificates when available.
@@ -174,7 +292,7 @@ class Dictionary:
         objective entry and no positive entry below it.
         """
         mode = self.mode
-        d = self.entries
+        d = self.num
         primal = all(mode.is_nonnegative(d[i][0]) for i in range(1, self.m + 1))
         dual = all(mode.is_nonnegative(d[0][j]) for j in range(1, self.n + 1))
         inconsistent = None
@@ -197,19 +315,23 @@ class Dictionary:
         """Values of every label (nonbasic ones are zero) and the objective."""
         values: dict[Label, Value] = {}
         for i, label in enumerate(self.basis, start=1):
-            values[label] = self.entries[i][0]
+            values[label] = self.rhs(i)
         for label in self.nonbasis:
             values[label] = self.mode.zero
         return values, self.objective_value
 
     def corner(self) -> tuple[Value, ...]:
         """Structural-variable values at the current basic solution."""
-        values, _ = self.basic_solution()
-        pairs = sorted(
-            (label.index, v)
-            for label, v in values.items()
+        pairs = [
+            (label.index, self.rhs(i))
+            for i, label in enumerate(self.basis, start=1)
             if label.kind is LabelKind.STRUCTURAL
-        )
+        ]
+        zero = self.mode.zero
+        pairs += [
+            (label.index, zero) for label in self.nonbasis if label.kind is LabelKind.STRUCTURAL
+        ]
+        pairs.sort()
         return tuple(v for _, v in pairs)
 
     def negative_transpose(self) -> "Dictionary":
@@ -217,7 +339,8 @@ class Dictionary:
 
         Rows of D* are indexed by this dictionary's nonbasis labels and
         columns by its basis labels; primal and dual feasibility trade
-        places, and the map is an involution.
+        places, and the map is an involution.  D* is built from its
+        values, so its basis labels are the ones scaled by its D0.
         """
         d = self.entries
         rows = [
@@ -237,6 +360,6 @@ def initial_dictionary(sp: StandardProblem) -> Dictionary:
     rows = [top]
     for i in range(sp.m):
         rows.append(tuple([sp.b[i]] + list(sp.A[i])))
-    basis = tuple(slack(i) for i in range(1, sp.m + 1))
-    nonbasis = tuple(structural(j) for j in range(1, sp.p + 1))
+    basis = tuple(slack(i + 1) for i in range(sp.m))
+    nonbasis = tuple(structural(j + 1) for j in range(sp.p))
     return Dictionary(basis, nonbasis, tuple(rows), mode)

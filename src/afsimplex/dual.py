@@ -36,27 +36,31 @@ class DualPhase1Decision:
     verdict: DualVerdict
 
 
+def _negative_columns(d: Dictionary) -> list[int]:
+    negative = d.mode.is_negative
+    return [j for j in range(1, d.n + 1) if negative(d.num[0][j])]
+
+
 def dual_infeasibility_sum(d: Dictionary) -> Value:
     """Sum of -d_0j over the negative objective-row entries."""
-    total = d.mode.zero
-    for j in range(1, d.n + 1):
-        if d.mode.is_negative(d.entry(0, j)):
-            total -= d.entry(0, j)
-    return total
+    columns = _negative_columns(d)
+    if not columns:
+        return d.mode.zero
+    return d.value(-sum(d.num[0][j] for j in columns))
 
 
 def dual_phase1_step(
     d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL
 ) -> DualPhase1Decision:
     """One mirrored decision; performs no pivot itself."""
-    mode = d.mode
-    columns = frozenset(
-        j for j in range(1, d.n + 1) if mode.is_negative(d.entry(0, j))
-    )
-    w_prime = tuple(
-        sum((d.entry(i, k) for k in sorted(columns)), mode.zero)
-        for i in range(1, d.m + 1)
-    )
+    negative = _negative_columns(d)
+    columns = frozenset(negative)
+    if negative:
+        w_prime = tuple(
+            d.value(sum(d.num[i][k] for k in negative)) for i in range(1, d.m + 1)
+        )
+    else:
+        w_prime = (d.mode.zero,) * d.m
     mirror = phase1_step(d.negative_transpose(), tie_break)
     if mirror.verdict is Phase1Verdict.ALREADY_FEASIBLE:
         verdict = DualVerdict.ALREADY_DUAL_FEASIBLE
@@ -112,7 +116,6 @@ def run_dual_phase1(
                 infeasibility_before=before_sum,
                 infeasibility_after=dual_infeasibility_sum(nxt),
                 corner=nxt.corner(),
-                basis_signature=nxt.signature(),
                 pricing=decision.w_prime,
             )
         )

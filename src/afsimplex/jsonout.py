@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from .harness import ComparisonReport, SolveOutcome
 from .numeric import Value
@@ -124,8 +124,3 @@ def emit_oracle_json(result: OracleResult) -> str:
 def write_json(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
-
-
-def load_json(path: str) -> Optional[dict[str, Any]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

@@ -134,10 +134,18 @@ class _Parser:
                     raise ParseError(
                         "quotient parts must be integers", tok.line, tok.column
                     )
-                if int(denom.text) == 0:
+                if denom.text.strip("0") == "":
                     raise ParseError("zero denominator", denom.line, denom.column)
-                return self.mode.coerce(f"{tok.text}/{denom.text}")
-        return self.mode.coerce(tok.text)
+                return self._coerce(f"{tok.text}/{denom.text}", tok)
+        return self._coerce(tok.text, tok)
+
+    def _coerce(self, text: str, tok: _Token) -> Value:
+        # Python refuses to convert integers of more than 4300 digits, and a
+        # float cannot hold a number past about 1.8e308.
+        try:
+            return self.mode.coerce(text)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"cannot read number: {exc}", tok.line, tok.column) from exc
 
     def _linexpr(self) -> dict[str, Value]:
         coeffs: dict[str, Value] = {}

@@ -78,6 +78,13 @@ class ExactMode(NumericMode):
             return NEGATIVE
         return ZERO
 
+    def div(self, a: Value, b: Value) -> Fraction:
+        """Exact quotient; a and b may be ints, such as two numerators
+        over one denominator."""
+        if self.is_zero(b):
+            raise ClassifiedZeroDivision(f"denominator {b!r} classifies as zero")
+        return Fraction(a, b)
+
 
 @dataclass(frozen=True)
 class FloatMode(NumericMode):

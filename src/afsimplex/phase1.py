@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Optional, Sequence
 
 from .dictionary import Dictionary, Label
 from .numeric import ExactMode, Value
@@ -43,35 +43,48 @@ class Phase1Decision:
 
 def infeasible_rows(d: Dictionary) -> frozenset[int]:
     """Indices of rows whose basic variable is currently negative."""
-    return frozenset(
-        i for i in range(1, d.m + 1) if d.mode.is_negative(d.rhs(i))
-    )
+    negative = d.mode.is_negative
+    return frozenset(i for i in range(1, d.m + 1) if negative(d.num[i][0]))
 
 
 def infeasibility_sum(d: Dictionary) -> Value:
     """Total constraint violation: sum of -rhs over infeasible rows."""
-    total = d.mode.zero
-    for i in infeasible_rows(d):
-        total -= d.rhs(i)
-    return total
+    rows = infeasible_rows(d)
+    if not rows:
+        return d.mode.zero
+    total = 0
+    for i in rows:
+        total -= d.num[i][0]
+    return d.value(total)
+
+
+def _column_sums(d: Dictionary, rows: frozenset[int]) -> list:
+    """Numerators of W over d.den; rows must not be empty."""
+    w = [0] * d.n
+    for i in rows:
+        row = d.num[i]
+        for j in range(1, d.n + 1):
+            w[j - 1] += row[j]
+    return w
 
 
 def phase1_objective_vector(d: Dictionary, rows: frozenset[int]) -> tuple[Value, ...]:
     """W: the columnwise sum of the infeasible rows (zero vector if none)."""
-    w = [d.mode.zero] * d.n
-    for i in rows:
-        for j in range(1, d.n + 1):
-            w[j - 1] += d.entry(i, j)
-    return tuple(w)
+    if not rows:
+        return (d.mode.zero,) * d.n
+    return tuple(map(d.value, _column_sums(d, rows)))
 
 
 def select_entering(
-    w: tuple[Value, ...], nonbasis: tuple[Label, ...], mode
+    w: Sequence[Value], nonbasis: tuple[Label, ...], mode
 ) -> Optional[int]:
     """Most negative W entry; ties go to the smallest nonbasis label.
 
     Returns the 1-based column index, or None when no entry is negative
-    (which, with infeasible rows present, certifies infeasibility).
+    (which, with infeasible rows present, certifies infeasibility).  The
+    entries may be values or numerators over one positive denominator:
+    the choice is the same.  Phase 2 and the traditional method price
+    their objective rows with it too.
     """
     best: Optional[int] = None
     for j in range(len(w)):
@@ -101,30 +114,32 @@ def select_leaving(
     best_row: Optional[int] = None
     best_ratio: Optional[Value] = None
     for i in range(1, d.m + 1):
-        rhs_sign = mode.sign(d.rhs(i))
-        entry_sign = mode.sign(d.entry(i, m))
-        if rhs_sign < 0:
+        rhs, entry = d.num[i][0], d.num[i][m]
+        entry_sign = mode.sign(entry)
+        if mode.sign(rhs) < 0:
             eligible = entry_sign < 0
         else:
             eligible = entry_sign > 0
         if not eligible:
             continue
-        ratio = d.rhs(i) / d.entry(i, m)
+        ratio = mode.div(rhs, entry)  # the common denominator cancels
         if best_ratio is None or ratio < best_ratio:
             best_row, best_ratio = i, ratio
         elif ratio == best_ratio:
-            best_row = _break_tie(d, m, best_row, i, tie_break)
+            best_row = break_tie(d, m, best_row, i, tie_break)
     if best_row is None:
         raise NoEligibleRow(f"no eligible row in column {m}")
     return best_row, best_ratio
 
 
-def _break_tie(d: Dictionary, m: int, current: int, challenger: int, rule: TieBreak) -> int:
+def break_tie(d: Dictionary, m: int, current: int, challenger: int, rule: TieBreak) -> int:
+    """The row that wins a minimum-ratio tie in column m under `rule`;
+    equal pivot magnitudes fall back to the smaller basis label."""
     if rule is TieBreak.SMALLEST_LABEL:
         keep = d.row_label(current) < d.row_label(challenger)
     else:
-        cur = abs(d.entry(current, m))
-        cha = abs(d.entry(challenger, m))
+        cur = abs(d.num[current][m])
+        cha = abs(d.num[challenger][m])
         if cur == cha:
             keep = d.row_label(current) < d.row_label(challenger)
         elif rule is TieBreak.SMALLEST_ABS_PIVOT:
@@ -142,8 +157,9 @@ def phase1_step(
     if not rows:
         w = tuple([d.mode.zero] * d.n)
         return Phase1Decision(rows, w, None, None, None, Phase1Verdict.ALREADY_FEASIBLE)
-    w = phase1_objective_vector(d, rows)
-    m = select_entering(w, d.nonbasis, d.mode)
+    w_num = _column_sums(d, rows)
+    m = select_entering(w_num, d.nonbasis, d.mode)
+    w = tuple(map(d.value, w_num))
     if m is None:
         # W >= 0 over rows that must all rise: no entering column can help.
         return Phase1Decision(rows, w, None, None, None, Phase1Verdict.INFEASIBLE)
@@ -235,7 +251,7 @@ def run_phase1(
     seen = {d.signature()} if (exact and cfg.detect_cycles) else None
     records: list[PivotRecord] = []
     initial_corner = d.corner()
-    initial_phi = infeasibility_sum(d)
+    initial_phi = phi = infeasibility_sum(d)
 
     status: Status
     while True:
@@ -249,8 +265,9 @@ def run_phase1(
         if len(records) >= budget:
             status = Status.ITERATION_LIMIT
             break
-        phi_before = infeasibility_sum(d)
+        phi_before = phi
         nxt = d.pivot(decision.leaving_row, decision.entering_column)
+        phi = infeasibility_sum(nxt)
         if monitor is not None:
             monitor.observe(d, decision, nxt)
         records.append(
@@ -261,9 +278,8 @@ def run_phase1(
                 ratio=decision.ratio,
                 degenerate=d.mode.is_zero(decision.ratio),
                 infeasibility_before=phi_before,
-                infeasibility_after=infeasibility_sum(nxt),
+                infeasibility_after=phi,
                 corner=nxt.corner(),
-                basis_signature=nxt.signature(),
                 pricing=decision.w_vector,
             )
         )

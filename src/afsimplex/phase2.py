@@ -8,7 +8,7 @@ from typing import Optional
 
 from .dictionary import Dictionary, Label, LabelKind
 from .numeric import ExactMode, Value
-from .phase1 import _break_tie
+from .phase1 import break_tie, select_entering
 from .trace import PivotRecord, SolveConfig, Status, TieBreak, Trace
 
 
@@ -32,8 +32,30 @@ class Phase2Decision:
 
 def _check_primal_feasible(d: Dictionary) -> None:
     for i in range(1, d.m + 1):
-        if d.mode.is_negative(d.rhs(i)):
+        if d.mode.is_negative(d.num[i][0]):
             raise NotPrimalFeasible(f"row {i} has rhs {d.rhs(i)!r}")
+
+
+def min_ratio(
+    d: Dictionary, m: int, tie_break: TieBreak = TieBreak.SMALLEST_LABEL
+) -> tuple[Optional[int], Optional[Value]]:
+    """Classical minimum-ratio test over the positive entries of column m.
+
+    Returns (row, ratio), or (None, None) when no entry is positive.
+    """
+    mode = d.mode
+    best_row: Optional[int] = None
+    best_ratio: Optional[Value] = None
+    for i in range(1, d.m + 1):
+        row = d.num[i]
+        if not mode.is_positive(row[m]):
+            continue
+        ratio = mode.div(row[0], row[m])  # the common denominator cancels
+        if best_ratio is None or ratio < best_ratio:
+            best_row, best_ratio = i, ratio
+        elif ratio == best_ratio:
+            best_row = break_tie(d, m, best_row, i, tie_break)
+    return best_row, best_ratio
 
 
 def phase2_step(
@@ -44,30 +66,10 @@ def phase2_step(
     entries leaves.  A negative column with no positive entry means the
     objective is unbounded along it."""
     _check_primal_feasible(d)
-    mode = d.mode
-    entering: Optional[int] = None
-    for j in range(1, d.n + 1):
-        if not mode.is_negative(d.entry(0, j)):
-            continue
-        if entering is None:
-            entering = j
-            continue
-        cur, cha = d.entry(0, entering), d.entry(0, j)
-        if cha < cur or (cha == cur and d.column_label(j) < d.column_label(entering)):
-            entering = j
+    entering = select_entering(d.num[0][1:], d.nonbasis, d.mode)
     if entering is None:
         return Phase2Decision(None, None, None, Phase2Verdict.OPTIMAL)
-
-    best_row: Optional[int] = None
-    best_ratio: Optional[Value] = None
-    for i in range(1, d.m + 1):
-        if not mode.is_positive(d.entry(i, entering)):
-            continue
-        ratio = d.rhs(i) / d.entry(i, entering)
-        if best_ratio is None or ratio < best_ratio:
-            best_row, best_ratio = i, ratio
-        elif ratio == best_ratio:
-            best_row = _break_tie(d, entering, best_row, i, tie_break)
+    best_row, best_ratio = min_ratio(d, entering, tie_break)
     if best_row is None:
         return Phase2Decision(entering, None, None, Phase2Verdict.UNBOUNDED)
     return Phase2Decision(entering, best_row, best_ratio, Phase2Verdict.PIVOT)
@@ -130,7 +132,6 @@ def run_phase2(
                 infeasibility_before=d.mode.zero,
                 infeasibility_after=d.mode.zero,
                 corner=nxt.corner(),
-                basis_signature=nxt.signature(),
             )
         )
         d = nxt

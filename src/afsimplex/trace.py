@@ -52,7 +52,6 @@ class PivotRecord:
     infeasibility_before: Value
     infeasibility_after: Value
     corner: tuple[Value, ...]
-    basis_signature: tuple[Label, ...]
     pricing: Optional[tuple[Value, ...]] = None
     via_conjugate: bool = False
 

@@ -31,7 +31,8 @@ from .dictionary import (
 )
 from .model import StandardProblem
 from .numeric import ExactMode, Value
-from .phase1 import _break_tie
+from .phase1 import select_entering
+from .phase2 import min_ratio
 from .trace import PivotRecord, SolveConfig, Status, TieBreak, Trace
 
 
@@ -55,17 +56,24 @@ class AuxiliaryDictionary:
     """A dictionary plus the auxiliary objective row.
 
     `inner` carries the original objective in its row 0 the whole time;
-    `phase1_row` is the auxiliary row stored in the same convention
-    (entry 0 is the current value, which equals minus the total of the
-    basic artificial values).
+    `aux_num` holds the numerators, over `inner.den`, of the auxiliary
+    row stored in the same convention (entry 0 is the current value,
+    which equals minus the total of the basic artificial values).  The
+    row rides along through every pivot by the same rule as the rows of
+    `inner`.
     """
 
     inner: Dictionary
-    phase1_row: tuple[Value, ...]
+    aux_num: tuple
 
     @property
     def mode(self):
         return self.inner.mode
+
+    @property
+    def phase1_row(self) -> tuple[Value, ...]:
+        """The auxiliary row's values."""
+        return tuple(map(self.inner.value, self.aux_num))
 
     def artificial_rows(self) -> tuple[int, ...]:
         return tuple(
@@ -76,7 +84,7 @@ class AuxiliaryDictionary:
 
     def infeasibility(self) -> Value:
         """Total value of the basic artificials (= minus the row's value)."""
-        return -self.phase1_row[0]
+        return -self.inner.value(self.aux_num[0])
 
     def conjugate_column(self, row: int) -> Optional[int]:
         """Nonbasis position of the slack conjugate to the artificial in
@@ -92,68 +100,34 @@ class AuxiliaryDictionary:
 
     def pivot(self, r: int, m: int) -> "AuxiliaryDictionary":
         """Pivot both objective rows; retire the column of a leaving artificial."""
-        d = self.inner.entries
-        p = d[r][m]
-        aux = self.phase1_row
-        factor = aux[m] / p
-        new_aux = tuple(
-            -factor if j == m else aux[j] - factor * d[r][j]
-            for j in range(self.inner.n + 1)
-        )
         leaving = self.inner.row_label(r)
         inner = self.inner.pivot(r, m)
+        aux = self.inner.carry(self.aux_num, r, m)
         if leaving.kind is LabelKind.ARTIFICIAL:
             inner = inner.drop_column(m)
-            new_aux = new_aux[:m] + new_aux[m + 1 :]
-        return AuxiliaryDictionary(inner, new_aux)
+            aux = aux[:m] + aux[m + 1 :]
+        return AuxiliaryDictionary(inner, aux)
 
     def conjugate_pivot(self, r: int, m: int) -> "AuxiliaryDictionary":
         """The shortcut pivot for a zero-valued basic artificial.
 
-        Requires entry (r, m) to be exactly -1 with rhs 0; the pivot row
-        is negated, the two objective rows are adjusted, and no other row
-        changes.  The leaving artificial's column is retired as usual.
+        Requires entry (r, m) to be exactly -1 with rhs 0 and column m to
+        be zero in every other row; the pivot then only negates row r and
+        adjusts the two objective rows, and the leaving artificial's
+        column is retired as usual.
         """
-        d = self.inner.entries
+        d = self.inner
         mode = self.mode
-        p = d[r][m]
-        if not mode.is_zero(d[r][0]):
+        if not mode.is_zero(d.num[r][0]):
             raise ValueError("conjugate pivot needs a zero-valued pivot row")
-        if not mode.is_zero(p + 1):
+        if not mode.is_zero(d.entry(r, m) + 1):
             raise ValueError("conjugate slack coefficient is not -1")
-        for i in range(1, self.inner.m + 1):
-            if i != r and not mode.is_zero(d[i][m]):
+        for i in range(1, d.m + 1):
+            if i != r and not mode.is_zero(d.num[i][m]):
                 raise RuntimeError(
                     f"conjugate slack column leaks into row {i}; dictionary corrupt"
                 )
-
-        def adjust(row: tuple[Value, ...]) -> tuple[Value, ...]:
-            # Objective-row update of a full pivot, with p = -1.
-            return tuple(
-                -row[m] / p if j == m else row[j] - row[m] * d[r][j] / p
-                for j in range(self.inner.n + 1)
-            )
-
-        rows = [adjust(d[0])]
-        for i in range(1, self.inner.m + 1):
-            if i == r:
-                rows.append(
-                    tuple(
-                        1 / p if j == m else d[r][j] / p
-                        for j in range(self.inner.n + 1)
-                    )
-                )
-            else:
-                rows.append(d[i])
-        new_aux = adjust(self.phase1_row)
-
-        basis = list(self.inner.basis)
-        nonbasis = list(self.inner.nonbasis)
-        leaving = basis[r - 1]
-        basis[r - 1], nonbasis[m - 1] = nonbasis[m - 1], leaving
-        inner = Dictionary(tuple(basis), tuple(nonbasis), tuple(rows), mode)
-        inner = inner.drop_column(m)
-        return AuxiliaryDictionary(inner, new_aux[:m] + new_aux[m + 1 :])
+        return self.pivot(r, m)
 
 
 def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
@@ -195,15 +169,13 @@ def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
                 row[1 + j] = sp.A[i][j]
         rows.append(tuple(row))
 
-    aux_row = [zero] * (n + 1)
-    for i in negative:
-        aux_row[0] += sp.b[i]
-        for j in range(sp.p):
-            aux_row[1 + j] += sp.A[i][j]
-        aux_row[col_pos[slack(i + 1)]] += mode.coerce(1)
-
     inner = Dictionary(tuple(basis), tuple(columns), tuple(rows), mode)
-    return AuxiliaryDictionary(inner, tuple(aux_row))
+    # The auxiliary row is minus the sum of the artificial rows.
+    aux = [0 if isinstance(mode, ExactMode) else zero] * (n + 1)
+    for i in negative:
+        for j, x in enumerate(inner.num[i + 1]):
+            aux[j] -= x
+    return AuxiliaryDictionary(inner, tuple(aux))
 
 
 def traditional_step(
@@ -227,23 +199,12 @@ def traditional_step(
 
     if use_trick:
         for r in art_rows:
-            if mode.is_zero(d.rhs(r)):
+            if mode.is_zero(d.num[r][0]):
                 m = aux.conjugate_column(r)
                 return TraditionalDecision(m, r, mode.zero, True, TraditionalVerdict.PIVOT)
 
-    entering: Optional[int] = None
-    row = aux.phase1_row
-    for j in range(1, d.n + 1):
-        if not mode.is_negative(row[j]):
-            continue
-        if entering is None:
-            entering = j
-            continue
-        if row[j] < row[entering] or (
-            row[j] == row[entering] and d.column_label(j) < d.column_label(entering)
-        ):
-            entering = j
-
+    row = aux.aux_num
+    entering = select_entering(row[1:], d.nonbasis, mode)
     if entering is None:
         if mode.is_negative(row[0]):
             return TraditionalDecision(None, None, None, False, TraditionalVerdict.INFEASIBLE)
@@ -253,7 +214,7 @@ def traditional_step(
         r = art_rows[0]
         best: Optional[int] = None
         for j in range(1, d.n + 1):
-            if mode.is_zero(d.entry(r, j)):
+            if mode.is_zero(d.num[r][j]):
                 continue
             if best is None or d.column_label(j) < d.column_label(best):
                 best = j
@@ -261,16 +222,7 @@ def traditional_step(
             raise RuntimeError(f"artificial row {r} is identically zero")
         return TraditionalDecision(best, r, mode.zero, False, TraditionalVerdict.PIVOT)
 
-    best_row: Optional[int] = None
-    best_ratio: Optional[Value] = None
-    for i in range(1, d.m + 1):
-        if not mode.is_positive(d.entry(i, entering)):
-            continue
-        ratio = d.rhs(i) / d.entry(i, entering)
-        if best_ratio is None or ratio < best_ratio:
-            best_row, best_ratio = i, ratio
-        elif ratio == best_ratio:
-            best_row = _break_tie(d, entering, best_row, i, tie_break)
+    best_row, best_ratio = min_ratio(d, entering, tie_break)
     if best_row is None:
         # The auxiliary objective is bounded above by zero, so a fully
         # nonpositive column cannot occur on consistent input.
@@ -315,7 +267,7 @@ def run_traditional_phase1(
         phi_before = aux.infeasibility()
         entering_label = aux.inner.column_label(m)
         leaving_label = aux.inner.row_label(r)
-        degenerate = aux.mode.is_zero(aux.inner.rhs(r))
+        degenerate = aux.mode.is_zero(aux.inner.num[r][0])
         if decision.via_conjugate:
             nxt = aux.conjugate_pivot(r, m)
         else:
@@ -330,8 +282,7 @@ def run_traditional_phase1(
                 infeasibility_before=phi_before,
                 infeasibility_after=nxt.infeasibility(),
                 corner=nxt.inner.corner(),
-                basis_signature=nxt.inner.signature(),
-                pricing=tuple(aux.phase1_row[1:]),
+                pricing=aux.phase1_row[1:],
                 via_conjugate=decision.via_conjugate,
             )
         )

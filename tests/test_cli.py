@@ -174,3 +174,40 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["status"] == "unbounded"
+
+
+@pytest.mark.parametrize("eps", ["0", "nan", "-0.5"])
+def test_float_eps_must_be_positive(lp_file, capsys, eps):
+    path = lp_file(BOX_TEXT)
+    assert main(["solve", path, "--numeric", "float", "--eps", eps]) == 64
+    assert main(["compare", path, "--numeric", "float", "--eps", eps]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("afsimplex: --eps")
+    assert "Traceback" not in err
+
+
+def test_negative_max_iters_is_usage_error(lp_file, capsys):
+    path = lp_file(BOX_TEXT)
+    assert main(["solve", path, "--max-iters", "-1"]) == 64
+    assert main(["compare", path, "--max-iters", "-1"]) == 64
+    assert "--max-iters" in capsys.readouterr().err
+    assert main(["solve", path, "--max-iters", "0"]) == 3
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "number, numeric",
+    [
+        ("1" * 4301, "rational"),
+        ("1." + "5" * 4301, "rational"),
+        ("1/" + "3" * 4301, "rational"),
+        ("1" * 4301, "float"),
+        ("1" + "0" * 400, "float"),
+    ],
+)
+def test_unreadable_number_is_data_error(lp_file, capsys, number, numeric):
+    path = lp_file(f"max: x1;\nc1: {number} x1 <= 1;\n")
+    assert main(["solve", path, "--numeric", numeric]) == 65
+    err = capsys.readouterr().err
+    assert "line 2, column 5" in err
+    assert "cannot read number" in err

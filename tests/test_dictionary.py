@@ -16,11 +16,40 @@ from afsimplex.dictionary import (
 )
 
 
+def reference_pivot(entries, r, m):
+    """The textbook dictionary pivot on Fractions, entry by entry:
+
+        d'_rm = 1/p          d'_rj = d_rj / p
+        d'_im = -d_im / p    d'_ij = d_ij - d_im * d_rj / p
+
+    kept here as the reference that the integer-preserving pivot must
+    reproduce exactly.  Rows past the basis rows are pivoted like any
+    other non-pivot row.
+    """
+    p = entries[r][m]
+    rows = []
+    for i, row in enumerate(entries):
+        if i == r:
+            rows.append(tuple(1 / p if j == m else x / p for j, x in enumerate(row)))
+        else:
+            factor = row[m] / p
+            rows.append(
+                tuple(
+                    -factor if j == m else x - factor * entries[r][j]
+                    for j, x in enumerate(row)
+                )
+            )
+    return tuple(rows)
+
+
+INTEGER_CELLS = st.integers(-6, 6).map(F)
+RATIONAL_CELLS = st.builds(F, st.integers(-12, 12), st.sampled_from([1, 2, 3, 6, 50]))
+
+
 @st.composite
-def dictionaries(draw, max_rows=4, max_cols=4):
+def dictionaries(draw, max_rows=4, max_cols=4, cell=INTEGER_CELLS):
     m = draw(st.integers(1, max_rows))
     n = draw(st.integers(1, max_cols))
-    cell = st.integers(-6, 6).map(F)
     entries = tuple(
         tuple(draw(cell) for _ in range(n + 1)) for _ in range(m + 1)
     )
@@ -193,3 +222,58 @@ def test_signature_ignores_row_order():
         entries=((F(0), F(1)), (F(2), F(1)), (F(1), F(1))),
     )
     assert a.signature() == b.signature()
+
+
+def _assert_well_formed(d):
+    assert d.den > 0
+    assert all(type(x) is int for row in d.num for x in row)
+    assert all(type(x) is F for row in d.entries for x in row)
+
+
+@given(dictionaries(cell=RATIONAL_CELLS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rational_pivot_walk_matches_the_fraction_formula(d, data):
+    # Each step either pivots back on the previous spot (a scaled label
+    # enters where an unscaled one leaves, sigma = 1/D0) or on a fresh
+    # nonzero spot; the first step from the built basis has sigma = D0
+    # whenever D0 > 1.  A row summed from the starting rows rides along.
+    chosen = data.draw(st.sets(st.integers(0, d.m), min_size=1))
+    extra = tuple(sum(col) for col in zip(*(d.num[i] for i in sorted(chosen))))
+    reference = d.entries + (tuple(sum(col) for col in zip(*(d.entries[i] for i in sorted(chosen)))),)
+    last = None
+    for _ in range(data.draw(st.integers(1, 6))):
+        spots = [
+            (i, j)
+            for i in range(1, d.m + 1)
+            for j in range(1, d.n + 1)
+            if reference[i][j] != 0
+        ]
+        if not spots:
+            break
+        if last is not None and data.draw(st.booleans()):
+            r, m = last
+        else:
+            r, m = data.draw(st.sampled_from(spots))
+        extra = d.carry(extra, r, m)
+        d = d.pivot(r, m)
+        reference = reference_pivot(reference, r, m)
+        _assert_well_formed(d)
+        assert d.entries == reference[:-1]
+        assert tuple(map(d.value, extra)) == reference[-1]
+        last = (r, m)
+
+
+def test_sigma_steps_on_the_cycler_rows(cycler_sp):
+    # D0 = 100 here.  Pivoting a built-basic slack out for a structural
+    # column scales by D0; pivoting straight back scales by 1/D0 and
+    # restores the starting numerators.
+    d = initial_dictionary(cycler_sp)
+    assert d.den == 100
+    start = d.num
+    reference = d.entries
+    for r, m in ((1, 1), (1, 1), (2, 3), (1, 2), (1, 2), (2, 3)):
+        d = d.pivot(r, m)
+        reference = reference_pivot(reference, r, m)
+        _assert_well_formed(d)
+        assert d.entries == reference
+    assert d.num == start and d.den == 100

@@ -1,0 +1,104 @@
+"""Golden bytes: SHA-256 digests of the emitted JSON, pinned in this file.
+
+`test_outcome_bytes_are_deterministic` compares two runs inside one
+process, so a change that alters the bytes the same way every time passes
+it.  These digests were computed once and are compared on every run, so
+any change to the solver's decisions, values or serialization shows here.
+Each digest covers `emit_outcome_json` (or `emit_report_json`) of every
+instance in its group, concatenated in order.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from afsimplex.generate import Shape, generate_lp
+from afsimplex.harness import Method, compare, solve
+from afsimplex.jsonout import emit_outcome_json, emit_report_json
+from afsimplex.lpformat import format_lp, parse_lp
+from afsimplex.model import standardize
+from afsimplex.numeric import EXACT, FloatMode
+from afsimplex.trace import SolveConfig
+
+from conftest import CYCLER_TEXT
+
+WALK_LP = (Path(__file__).resolve().parent.parent / "demos" / "walk.lp").read_text()
+
+MODES = {"exact": EXACT, "float": FloatMode(1e-9)}
+
+RUNS = {
+    "af": (Method.ARTIFICIAL_FREE, SolveConfig()),
+    "trad": (Method.TRADITIONAL, SolveConfig()),
+    "trick": (Method.TRADITIONAL, SolveConfig(use_trick=True)),
+}
+
+SWEEP_SHAPES = (Shape.FEASIBLE_BIASED, Shape.INFEASIBLE_BIASED, Shape.DEGENERATE_BIASED)
+SWEEP_SIZES = ((2, 3), (3, 2), (4, 4), (6, 5), (5, 7), (8, 8))
+
+
+def sweep_texts() -> list[str]:
+    return [
+        format_lp(generate_lp(seed, rows, cols, shape=shape))
+        for rows, cols in SWEEP_SIZES
+        for shape in SWEEP_SHAPES
+        for seed in (1, 2)
+    ]
+
+
+def solve_digest(texts, mode_name: str, run: str) -> str:
+    mode = MODES[mode_name]
+    method, config = RUNS[run]
+    h = hashlib.sha256()
+    for text in texts:
+        outcome = solve(standardize(parse_lp(text, mode)), method, config)
+        h.update(emit_outcome_json(outcome).encode())
+    return h.hexdigest()
+
+
+def compare_digest(texts, mode_name: str) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        report = compare(standardize(parse_lp(text, MODES[mode_name])), SolveConfig())
+        h.update(emit_report_json(report).encode())
+    return h.hexdigest()
+
+
+GROUPS = {"walk": lambda: [WALK_LP], "cycler": lambda: [CYCLER_TEXT], "sweep": sweep_texts}
+
+SOLVE_GOLDEN = {
+    ("walk", "exact", "af"): "47d70fb4980c5b198276c71d824df00ddca7650bbe28018142103bbc6bafb3bd",
+    ("walk", "exact", "trad"): "d3bb47a8cfd944b2b4deec7f374fcc4b71763b31502f8436182d3de3f2a2fe7b",
+    ("walk", "exact", "trick"): "348cf5adbb721a367840f0f81d9f50edda46731fe893f6bdb2a3e0dbaf303d20",
+    ("walk", "float", "af"): "47d70fb4980c5b198276c71d824df00ddca7650bbe28018142103bbc6bafb3bd",
+    ("walk", "float", "trad"): "363d27e7c6d03fef2601b7cf9b91b21e2f14844dce14840cc7b51f2a0564e734",
+    ("walk", "float", "trick"): "348cf5adbb721a367840f0f81d9f50edda46731fe893f6bdb2a3e0dbaf303d20",
+    ("cycler", "exact", "af"): "3b9f43288d2b0ab3d296354c6f55ad7057f33c718359db3a36794bbc0adc0c25",
+    ("cycler", "exact", "trad"): "0cfd6a6ce00752d4a7f6825170e67aa75d671e6213156ba5b2c705aaa63da21d",
+    ("cycler", "exact", "trick"): "0cfd6a6ce00752d4a7f6825170e67aa75d671e6213156ba5b2c705aaa63da21d",
+    ("cycler", "float", "af"): "5fa041fa10d6501c88afbba8753c80142b214b43ec601262cee76b72d13d66d9",
+    ("cycler", "float", "trad"): "1236f98ca2cf41fc5d27f00619a5929817c1d858f684963eb18cb838dba7d5d6",
+    ("cycler", "float", "trick"): "1236f98ca2cf41fc5d27f00619a5929817c1d858f684963eb18cb838dba7d5d6",
+    ("sweep", "exact", "af"): "aa1399d7306578f37ea106c186f704151a0b83b33cb8fc668b33eb24b778c5d6",
+    ("sweep", "exact", "trad"): "8e6eafd8da0106664efde449f55a82bfa800036383ed0e69b94f3a7008c79b24",
+    ("sweep", "exact", "trick"): "776bd3fcac5224df51001c4f03df05ac00514560bbbee80e3fbfab718cc6aa63",
+    ("sweep", "float", "af"): "483bddd8ca3759ea1ecd73816e2800ecdb9678e7fff9fc3b3ce54041f80a4bbc",
+    ("sweep", "float", "trad"): "c0331aaf32f5d0938ca161d5437cf55074a26ca4dfaa0f8d68827e9b97c4a102",
+    ("sweep", "float", "trick"): "5097207f5a5444be410a20a2ca2c79c091d605a8ec5c945b7fa28a1d2184c5de",
+}
+
+COMPARE_GOLDEN = {
+    "exact": "15dde6a33827db097ab3a849efb0e45c8f3b2b408b5dd10fdca6d6e1c2a2dd54",
+    "float": "1ed695aa12309bdedc0385a605d1cd9272b961f2a4f98e7700c9394a861255d3",
+}
+
+
+@pytest.mark.parametrize("group, mode_name, run", sorted(SOLVE_GOLDEN))
+def test_solve_json_bytes_match_golden(group, mode_name, run):
+    digest = solve_digest(GROUPS[group](), mode_name, run)
+    assert digest == SOLVE_GOLDEN[group, mode_name, run]
+
+
+@pytest.mark.parametrize("mode_name", sorted(COMPARE_GOLDEN))
+def test_compare_json_bytes_match_golden(mode_name):
+    assert compare_digest(sweep_texts(), mode_name) == COMPARE_GOLDEN[mode_name]

@@ -53,6 +53,14 @@ def test_float_div_outside_band():
     assert FloatMode().div(1.0, 0.5) == 2.0
 
 
+def test_exact_div_of_integers_is_a_fraction():
+    # the ratio tests divide two numerators over one denominator
+    q = EXACT.div(-6, 4)
+    assert isinstance(q, Fraction) and q == Fraction(-3, 2)
+    with pytest.raises(ClassifiedZeroDivision):
+        EXACT.div(5, 0)
+
+
 def test_sign_predicates():
     assert EXACT.is_negative(Fraction(-3))
     assert EXACT.is_zero(Fraction(0))
