@@ -20,7 +20,7 @@ from .jsonout import (
     write_json,
 )
 from .lpformat import ParseError, format_lp, parse_lp
-from .model import EmptyProblem, GeneralProblem, UnsupportedFreeVariable, standardize
+from .model import EmptyProblem, StandardProblem, UnsupportedFreeVariable, standardize
 from .numeric import EXACT, FloatMode, NumericMode
 from .oracle import TooLarge, enumerate_vertices
 from .trace import SolveConfig, Status, TieBreak
@@ -144,13 +144,13 @@ def _make_config(args) -> SolveConfig:
     )
 
 
-def _read_problem(path: str, mode: NumericMode) -> GeneralProblem:
+def _read_problem(path: str, mode: NumericMode) -> StandardProblem:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    return parse_lp(text, mode)
+    return standardize(parse_lp(text, mode))
 
 
 def _status_code(status: Status) -> int:
@@ -164,9 +164,7 @@ def _status_code(status: Status) -> int:
 
 
 def _cmd_solve(args) -> int:
-    mode = _make_mode(args)
-    gp = _read_problem(args.file, mode)
-    sp = standardize(gp)
+    sp = _read_problem(args.file, _make_mode(args))
     outcome = solve(sp, Method(args.method), _make_config(args))
     text = emit_outcome_json(outcome)
     if args.trace:
@@ -177,9 +175,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    mode = _make_mode(args)
-    gp = _read_problem(args.file, mode)
-    sp = standardize(gp)
+    sp = _read_problem(args.file, _make_mode(args))
     report = compare(sp, _make_config(args))
     text = emit_report_json(report)
     if args.report:
@@ -211,8 +207,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    gp = _read_problem(args.file, EXACT)
-    sp = standardize(gp)
+    sp = _read_problem(args.file, EXACT)
     try:
         result = enumerate_vertices(sp, guard=args.guard)
     except TooLarge as exc:

@@ -15,9 +15,9 @@ from enum import Enum
 from typing import Optional
 
 from .dictionary import Dictionary
-from .numeric import ExactMode, Value
+from .numeric import Value
 from .phase1 import Phase1Verdict, phase1_step
-from .trace import PivotRecord, SolveConfig, Status, TieBreak, Trace
+from .trace import SolveConfig, Status, TieBreak, Trace, drive
 
 
 class DualVerdict(Enum):
@@ -85,53 +85,15 @@ def run_dual_phase1(
 ) -> tuple[Dictionary, Status, Trace]:
     """Iterate dual_phase1_step to DUAL_FEASIBLE / DUAL_INFEASIBLE."""
     cfg = config or SolveConfig()
-    budget = cfg.iteration_budget(d.m, d.n)
-    exact = isinstance(d.mode, ExactMode)
-    seen = {d.signature()} if (exact and cfg.detect_cycles) else None
-    records: list[PivotRecord] = []
-    initial_corner = d.corner()
-    initial_sum = dual_infeasibility_sum(d)
-
-    status: Status
-    while True:
-        decision = dual_phase1_step(d, cfg.tie_break)
-        if decision.verdict is DualVerdict.ALREADY_DUAL_FEASIBLE:
-            status = Status.DUAL_FEASIBLE
-            break
-        if decision.verdict is DualVerdict.DUAL_INFEASIBLE:
-            status = Status.DUAL_INFEASIBLE
-            break
-        if len(records) >= budget:
-            status = Status.ITERATION_LIMIT
-            break
-        before_sum = dual_infeasibility_sum(d)
-        nxt = d.pivot(decision.leaving_row, decision.entering_column)
-        records.append(
-            PivotRecord(
-                iteration=len(records) + 1,
-                entering=d.column_label(decision.entering_column),
-                leaving=d.row_label(decision.leaving_row),
-                ratio=decision.ratio,
-                degenerate=d.mode.is_zero(decision.ratio),
-                infeasibility_before=before_sum,
-                infeasibility_after=dual_infeasibility_sum(nxt),
-                corner=nxt.corner(),
-                pricing=decision.w_prime,
-            )
-        )
-        d = nxt
-        if seen is not None:
-            sig = d.signature()
-            if sig in seen:
-                status = Status.CYCLE_DETECTED
-                break
-            seen.add(sig)
-
-    trace = Trace(
-        method="dual_phase1",
-        status=status,
-        initial_corner=initial_corner,
-        initial_infeasibility=initial_sum,
-        records=tuple(records),
+    return drive(
+        "dual_phase1",
+        d,
+        lambda d: dual_phase1_step(d, cfg.tie_break),
+        dual_infeasibility_sum,
+        {
+            DualVerdict.ALREADY_DUAL_FEASIBLE: Status.DUAL_FEASIBLE,
+            DualVerdict.DUAL_INFEASIBLE: Status.DUAL_INFEASIBLE,
+        },
+        cfg,
+        pricing=lambda d, decision: decision.w_prime,
     )
-    return d, status, trace

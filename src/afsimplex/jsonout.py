@@ -8,6 +8,7 @@ converted through their exact binary expansion.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 from typing import Any
 
@@ -51,7 +52,16 @@ def _trace_dict(trace: Trace) -> dict[str, Any]:
 
 
 def _dump(payload: dict[str, Any]) -> str:
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    # An exact value may have more digits than Python's int-to-string limit
+    # allows; the limit is lifted for this call only.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def outcome_to_dict(outcome: SolveOutcome) -> dict[str, Any]:

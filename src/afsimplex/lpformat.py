@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .model import Constraint, GeneralProblem, Relation, Sense
+from .model import Constraint, EmptyProblem, GeneralProblem, Relation, Sense
 from .numeric import EXACT, NumericMode, Value
 
 
@@ -224,8 +224,6 @@ class _Parser:
             constraints.append(Constraint(name, coeffs, relation, rhs))
 
         if not constraints:
-            from .model import EmptyProblem
-
             raise EmptyProblem("a problem needs at least one constraint")
         try:
             return GeneralProblem(

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .dictionary import Dictionary, Label
 from .numeric import ExactMode, Value
-from .trace import PivotRecord, SolveConfig, Status, TieBreak, Trace
+from .trace import SolveConfig, Status, TieBreak, Trace, drive
 
 
 class NoEligibleRow(RuntimeError):
@@ -246,56 +246,16 @@ def run_phase1(
     feasible row with zero rhs and positive column entry.
     """
     cfg = config or SolveConfig()
-    budget = cfg.iteration_budget(d.m, d.n)
-    exact = isinstance(d.mode, ExactMode)
-    seen = {d.signature()} if (exact and cfg.detect_cycles) else None
-    records: list[PivotRecord] = []
-    initial_corner = d.corner()
-    initial_phi = phi = infeasibility_sum(d)
-
-    status: Status
-    while True:
-        decision = phase1_step(d, cfg.tie_break)
-        if decision.verdict is Phase1Verdict.ALREADY_FEASIBLE:
-            status = Status.FEASIBLE
-            break
-        if decision.verdict is Phase1Verdict.INFEASIBLE:
-            status = Status.INFEASIBLE
-            break
-        if len(records) >= budget:
-            status = Status.ITERATION_LIMIT
-            break
-        phi_before = phi
-        nxt = d.pivot(decision.leaving_row, decision.entering_column)
-        phi = infeasibility_sum(nxt)
-        if monitor is not None:
-            monitor.observe(d, decision, nxt)
-        records.append(
-            PivotRecord(
-                iteration=len(records) + 1,
-                entering=d.column_label(decision.entering_column),
-                leaving=d.row_label(decision.leaving_row),
-                ratio=decision.ratio,
-                degenerate=d.mode.is_zero(decision.ratio),
-                infeasibility_before=phi_before,
-                infeasibility_after=phi,
-                corner=nxt.corner(),
-                pricing=decision.w_vector,
-            )
-        )
-        d = nxt
-        if seen is not None:
-            sig = d.signature()
-            if sig in seen:
-                status = Status.CYCLE_DETECTED
-                break
-            seen.add(sig)
-
-    trace = Trace(
-        method="af_phase1",
-        status=status,
-        initial_corner=initial_corner,
-        initial_infeasibility=initial_phi,
-        records=tuple(records),
+    return drive(
+        "af_phase1",
+        d,
+        lambda d: phase1_step(d, cfg.tie_break),
+        infeasibility_sum,
+        {
+            Phase1Verdict.ALREADY_FEASIBLE: Status.FEASIBLE,
+            Phase1Verdict.INFEASIBLE: Status.INFEASIBLE,
+        },
+        cfg,
+        pricing=lambda d, decision: decision.w_vector,
+        observe=None if monitor is None else monitor.observe,
     )
-    return d, status, trace

@@ -7,9 +7,9 @@ from enum import Enum
 from typing import Optional
 
 from .dictionary import Dictionary, Label, LabelKind
-from .numeric import ExactMode, Value
+from .numeric import Value
 from .phase1 import break_tie, select_entering
-from .trace import PivotRecord, SolveConfig, Status, TieBreak, Trace
+from .trace import SolveConfig, Status, TieBreak, Trace, drive
 
 
 class NotPrimalFeasible(ValueError):
@@ -103,50 +103,11 @@ def run_phase2(
 ) -> tuple[Dictionary, Status, Trace]:
     """Iterate phase2_step to OPTIMAL or UNBOUNDED (or a safeguard stop)."""
     cfg = config or SolveConfig()
-    budget = cfg.iteration_budget(d.m, d.n)
-    exact = isinstance(d.mode, ExactMode)
-    seen = {d.signature()} if (exact and cfg.detect_cycles) else None
-    records: list[PivotRecord] = []
-    initial_corner = d.corner()
-
-    status: Status
-    while True:
-        decision = phase2_step(d, cfg.tie_break)
-        if decision.verdict is Phase2Verdict.OPTIMAL:
-            status = Status.OPTIMAL
-            break
-        if decision.verdict is Phase2Verdict.UNBOUNDED:
-            status = Status.UNBOUNDED
-            break
-        if len(records) >= budget:
-            status = Status.ITERATION_LIMIT
-            break
-        nxt = d.pivot(decision.leaving_row, decision.entering_column)
-        records.append(
-            PivotRecord(
-                iteration=len(records) + 1,
-                entering=d.column_label(decision.entering_column),
-                leaving=d.row_label(decision.leaving_row),
-                ratio=decision.ratio,
-                degenerate=d.mode.is_zero(decision.ratio),
-                infeasibility_before=d.mode.zero,
-                infeasibility_after=d.mode.zero,
-                corner=nxt.corner(),
-            )
-        )
-        d = nxt
-        if seen is not None:
-            sig = d.signature()
-            if sig in seen:
-                status = Status.CYCLE_DETECTED
-                break
-            seen.add(sig)
-
-    trace = Trace(
-        method="phase2",
-        status=status,
-        initial_corner=initial_corner,
-        initial_infeasibility=d.mode.zero,
-        records=tuple(records),
+    return drive(
+        "phase2",
+        d,
+        lambda d: phase2_step(d, cfg.tie_break),
+        lambda d: d.mode.zero,
+        {Phase2Verdict.OPTIMAL: Status.OPTIMAL, Phase2Verdict.UNBOUNDED: Status.UNBOUNDED},
+        cfg,
     )
-    return d, status, trace

@@ -1,13 +1,15 @@
-"""Run records: statuses, per-pivot records, traces and solver options."""
+"""Run records: statuses, per-pivot records, traces and solver options,
+and the one pivot loop every phase runs through."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from itertools import groupby
+from typing import Callable, Optional
 
 from .dictionary import Label
-from .numeric import Value
+from .numeric import ExactMode, Value
 
 
 class Status(str, Enum):
@@ -79,8 +81,77 @@ class Trace:
 
     def deduplicated_corners(self) -> tuple[tuple[Value, ...], ...]:
         """Corner walk with consecutive repeats (degenerate dwell) collapsed."""
-        out: list[tuple[Value, ...]] = []
-        for corner in self.corners:
-            if not out or out[-1] != corner:
-                out.append(corner)
-        return tuple(out)
+        return tuple(corner for corner, _ in groupby(self.corners))
+
+
+def pivot_on(d, decision):
+    """The decision's pivot, performed on a plain dictionary."""
+    return d.pivot(decision.leaving_row, decision.entering_column)
+
+
+def drive(
+    method: str,
+    state,
+    step: Callable,
+    measure: Callable,
+    stops: dict,
+    config: SolveConfig,
+    pivot: Callable = pivot_on,
+    pricing: Optional[Callable] = None,
+    observe: Optional[Callable] = None,
+    view: Callable = lambda state: state,
+) -> tuple:
+    """The one pivot loop: pivot from `state` until a stop, recording a trace.
+
+    `step(state)` decides; a verdict found in `stops` ends the run with the
+    mapped status, any other is performed by `pivot(state, decision)`.
+    `measure(state)` is the violation total, `pricing(state, decision)` the
+    pricing vector recorded with a pivot, `observe(before, decision, after)`
+    sees every pivot, and `view(state)` is the plain dictionary behind the
+    state.  The run also stops with ITERATION_LIMIT when the budget is
+    spent and, in exact mode, with CYCLE_DETECTED when a basis repeats.  A
+    pivot is degenerate when its ratio classifies as zero.
+    """
+    d = view(state)
+    budget = config.iteration_budget(d.m, d.n)
+    seen = {d.signature()} if isinstance(d.mode, ExactMode) and config.detect_cycles else None
+    records: list[PivotRecord] = []
+    initial_corner = d.corner()
+    initial = phi = measure(state)
+
+    while True:
+        decision = step(state)
+        status = stops.get(decision.verdict)
+        if status is not None:
+            break
+        if len(records) >= budget:
+            status = Status.ITERATION_LIMIT
+            break
+        nxt = pivot(state, decision)
+        phi_before, phi = phi, measure(nxt)
+        if observe is not None:
+            observe(state, decision, nxt)
+        after = view(nxt)
+        records.append(
+            PivotRecord(
+                iteration=len(records) + 1,
+                entering=d.column_label(decision.entering_column),
+                leaving=d.row_label(decision.leaving_row),
+                ratio=decision.ratio,
+                degenerate=d.mode.is_zero(decision.ratio),
+                infeasibility_before=phi_before,
+                infeasibility_after=phi,
+                corner=after.corner(),
+                pricing=None if pricing is None else pricing(state, decision),
+                via_conjugate=getattr(decision, "via_conjugate", False),
+            )
+        )
+        state, d = nxt, after
+        if seen is not None:
+            sig = d.signature()
+            if sig in seen:
+                status = Status.CYCLE_DETECTED
+                break
+            seen.add(sig)
+
+    return state, status, Trace(method, status, initial_corner, initial, tuple(records))

@@ -33,7 +33,7 @@ from .model import StandardProblem
 from .numeric import ExactMode, Value
 from .phase1 import select_entering
 from .phase2 import min_ratio
-from .trace import PivotRecord, SolveConfig, Status, TieBreak, Trace
+from .trace import SolveConfig, Status, TieBreak, Trace, drive
 
 
 class TraditionalVerdict(Enum):
@@ -212,14 +212,10 @@ def traditional_step(
         # swap each out through any nonzero entry of its row (the
         # conjugate slack guarantees one exists).
         r = art_rows[0]
-        best: Optional[int] = None
-        for j in range(1, d.n + 1):
-            if mode.is_zero(d.num[r][j]):
-                continue
-            if best is None or d.column_label(j) < d.column_label(best):
-                best = j
-        if best is None:
+        nonzero = [j for j in range(1, d.n + 1) if not mode.is_zero(d.num[r][j])]
+        if not nonzero:
             raise RuntimeError(f"artificial row {r} is identically zero")
+        best = min(nonzero, key=d.column_label)
         return TraditionalDecision(best, r, mode.zero, False, TraditionalVerdict.PIVOT)
 
     best_row, best_ratio = min_ratio(d, entering, tie_break)
@@ -244,61 +240,20 @@ def run_traditional_phase1(
     still basic, their total being the minimal violation).
     """
     cfg = config or SolveConfig()
-    budget = cfg.iteration_budget(aux.inner.m, aux.inner.n)
-    exact = isinstance(aux.mode, ExactMode)
-    seen = {aux.inner.signature()} if (exact and cfg.detect_cycles) else None
-    records: list[PivotRecord] = []
-    initial_corner = aux.inner.corner()
-    initial_phi = aux.infeasibility()
-
-    status: Status
-    while True:
-        decision = traditional_step(aux, cfg.use_trick, cfg.tie_break)
-        if decision.verdict is TraditionalVerdict.FEASIBLE:
-            status = Status.FEASIBLE
-            break
-        if decision.verdict is TraditionalVerdict.INFEASIBLE:
-            status = Status.INFEASIBLE
-            break
-        if len(records) >= budget:
-            status = Status.ITERATION_LIMIT
-            break
-        r, m = decision.leaving_row, decision.entering_column
-        phi_before = aux.infeasibility()
-        entering_label = aux.inner.column_label(m)
-        leaving_label = aux.inner.row_label(r)
-        degenerate = aux.mode.is_zero(aux.inner.num[r][0])
-        if decision.via_conjugate:
-            nxt = aux.conjugate_pivot(r, m)
-        else:
-            nxt = aux.pivot(r, m)
-        records.append(
-            PivotRecord(
-                iteration=len(records) + 1,
-                entering=entering_label,
-                leaving=leaving_label,
-                ratio=decision.ratio,
-                degenerate=degenerate,
-                infeasibility_before=phi_before,
-                infeasibility_after=nxt.infeasibility(),
-                corner=nxt.inner.corner(),
-                pricing=aux.phase1_row[1:],
-                via_conjugate=decision.via_conjugate,
-            )
-        )
-        aux = nxt
-        if seen is not None:
-            sig = aux.inner.signature()
-            if sig in seen:
-                status = Status.CYCLE_DETECTED
-                break
-            seen.add(sig)
-
-    trace = Trace(
-        method="traditional_phase1",
-        status=status,
-        initial_corner=initial_corner,
-        initial_infeasibility=initial_phi,
-        records=tuple(records),
+    aux, status, trace = drive(
+        "traditional_phase1",
+        aux,
+        lambda aux: traditional_step(aux, cfg.use_trick, cfg.tie_break),
+        AuxiliaryDictionary.infeasibility,
+        {
+            TraditionalVerdict.FEASIBLE: Status.FEASIBLE,
+            TraditionalVerdict.INFEASIBLE: Status.INFEASIBLE,
+        },
+        cfg,
+        pivot=lambda aux, decision: (
+            aux.conjugate_pivot if decision.via_conjugate else aux.pivot
+        )(decision.leaving_row, decision.entering_column),
+        pricing=lambda aux, decision: aux.phase1_row[1:],
+        view=lambda aux: aux.inner,
     )
     return aux.inner, status, trace

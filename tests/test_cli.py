@@ -1,11 +1,14 @@
 """Command line behaviour: exit codes, output bytes, file side effects."""
 
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from afsimplex import parse_lp, solve, standardize
 from afsimplex.cli import main
 
 from conftest import CYCLER_TEXT, STRIP_TEXT, WALK_TEXT
@@ -211,3 +214,27 @@ def test_unreadable_number_is_data_error(lp_file, capsys, number, numeric):
     err = capsys.readouterr().err
     assert "line 2, column 5" in err
     assert "cannot read number" in err
+
+
+def test_solve_emits_values_past_the_int_digit_limit(lp_file, capsys):
+    # Both rows bind at the optimum, whose values have about 6,000 digits.
+    rng = random.Random(7)
+    a, b, c, d = (rng.randrange(10**2999, 2 * 10**2999) for _ in range(4))
+    text = f"max: x1 + x2;\nc1: {2 * a} x1 + {b} x2 <= 1;\nc2: {c} x1 + {2 * d} x2 <= 1;\n"
+    out = solve(standardize(parse_lp(text)))
+    assert out.objective.denominator.bit_length() > 4300 * 3.33  # > 4,300 digits
+    limit = sys.get_int_max_str_digits()
+    assert main(["solve", lp_file(text)]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    emitted = capsys.readouterr().out
+    sys.set_int_max_str_digits(0)
+    try:
+        doc = json.loads(emitted)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert doc["status"] == "optimal"
+    assert Fraction(doc["objective"]["num"], doc["objective"]["den"]) == out.objective
+    assert {v["var"]: Fraction(v["num"], v["den"]) for v in doc["solution"]} == out.solution
+    # Input numbers past the limit are still refused.
+    assert main(["solve", lp_file(f"max: x1;\nc1: {'1' * 4301} x1 <= 1;\n", "long.lp")]) == 65
+    capsys.readouterr()
