@@ -36,7 +36,7 @@ while True:
     print(f"step {step}: corner {corner}, violation {infeasibility_sum(d)}")
     if decision.entering_column is None:
         break
-    w = tuple(str(x) for x in decision.w_vector)
+    w = tuple(str(x) for x in decision.pricing)
     entering = d.column_label(decision.entering_column).name
     leaving = d.row_label(decision.leaving_row).name
     print(f"        pricing {w}: {entering} enters, {leaving} leaves, "

@@ -46,7 +46,6 @@ from .numeric import (
     ExactMode,
     FloatMode,
     NumericMode,
-    scalar_sign,
 )
 from .oracle import OracleResult, TooLarge, enumerate_vertices
 from .phase1 import (
@@ -123,7 +122,6 @@ __all__ = [
     "run_phase1",
     "run_phase2",
     "run_traditional_phase1",
-    "scalar_sign",
     "slack",
     "solve",
     "standardize",

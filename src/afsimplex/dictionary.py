@@ -91,9 +91,10 @@ class Dictionary:
     values.  In exact mode den starts as D0, the least common multiple of
     the entries' denominators.  Every label keeps a scale for the
     dictionary's lifetime: D0 if it was basic when the dictionary was
-    built, 1 otherwise.  A pivot multiplies all numerators and den by
-    sigma = scale(leaving) / scale(entering), which keeps every division
-    exact on rational input; on integer input D0 = 1 and sigma is always 1.
+    built, 1 otherwise (the negative transpose trades the two).  A pivot
+    multiplies all numerators and den by sigma = scale(leaving) /
+    scale(entering), which keeps every division exact on rational input;
+    on integer input D0 = 1 and sigma is always 1.
     """
 
     __slots__ = (
@@ -141,10 +142,12 @@ class Dictionary:
         self._d0 = d0
         self._scaled = scaled
 
-    def _derive(self, basis, nonbasis, num, den) -> "Dictionary":
-        """A dictionary reached from this one; label scales carry over."""
+    def _derive(self, basis, nonbasis, num, den, scaled=None) -> "Dictionary":
+        """A dictionary reached from this one; label scales carry over
+        unless `scaled` replaces the set of labels scaled by D0."""
         d = object.__new__(Dictionary)
-        d._set(basis, nonbasis, num, den, self.mode, self._d0, self._scaled)
+        d._set(basis, nonbasis, num, den, self.mode, self._d0,
+               self._scaled if scaled is None else scaled)
         return d
 
     def __eq__(self, other) -> bool:
@@ -339,18 +342,15 @@ class Dictionary:
 
         Rows of D* are indexed by this dictionary's nonbasis labels and
         columns by its basis labels; primal and dual feasibility trade
-        places, and the map is an involution.  D* is built from its
-        values, so its basis labels are the ones scaled by its D0.
+        places, and the map is an involution.  D* keeps den and D0, and
+        its scaled labels are the ones unscaled here, so every pivot on D*
+        has the sigma of its mirror pivot here.
         """
-        d = self.entries
-        rows = [
-            tuple([-d[0][0]] + [d[i][0] for i in range(1, self.m + 1)])
-        ]
-        for j in range(1, self.n + 1):
-            rows.append(
-                tuple([d[0][j]] + [-d[i][j] for i in range(1, self.m + 1)])
-            )
-        return Dictionary(self.nonbasis, self.basis, tuple(rows), self.mode)
+        cols = list(zip(*self.num))
+        num = [(-cols[0][0],) + cols[0][1:]]
+        num += [(col[0],) + tuple([-x for x in col[1:]]) for col in cols[1:]]
+        scaled = frozenset(self.basis + self.nonbasis) - self._scaled
+        return self._derive(self.nonbasis, self.basis, tuple(num), self.den, scaled)
 
 
 def initial_dictionary(sp: StandardProblem) -> Dictionary:

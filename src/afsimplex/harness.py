@@ -11,7 +11,7 @@ from .dictionary import Dictionary, LabelKind, initial_dictionary
 from .model import StandardProblem
 from .numeric import Value
 from .phase1 import InvariantMonitor, infeasible_rows, run_phase1
-from .phase2 import Phase2Verdict, improving_ray, phase2_step, run_phase2
+from .phase2 import improving_ray, phase2_step, run_phase2
 from .trace import SolveConfig, Status, Trace
 from .traditional import build_auxiliary, run_traditional_phase1
 
@@ -103,7 +103,7 @@ def solve(
             objective = -value if sp.negated_objective else value
         elif s2 is Status.UNBOUNDED:
             decision = phase2_step(d2, cfg.tie_break)
-            assert decision.verdict is Phase2Verdict.UNBOUNDED
+            assert decision.status is Status.UNBOUNDED
             ray = improving_ray(d2, decision.entering_column)
             certificates = Certificates(
                 ray={

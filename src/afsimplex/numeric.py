@@ -114,8 +114,3 @@ class FloatMode(NumericMode):
 
 
 EXACT = ExactMode()
-
-
-def scalar_sign(x: Value, mode: NumericMode = EXACT) -> int:
-    """Classify x as -1, 0 or +1 under the given mode's zero test."""
-    return mode.sign(x)

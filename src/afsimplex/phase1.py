@@ -11,34 +11,16 @@ infeasible row past zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Sequence
 
 from .dictionary import Dictionary, Label
 from .numeric import ExactMode, Value
-from .trace import SolveConfig, Status, TieBreak, Trace, drive
+from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
 
 class NoEligibleRow(RuntimeError):
     """The ratio test found no eligible row; with a correctly chosen
     entering column this indicates an internal error, not an input."""
-
-
-class Phase1Verdict(Enum):
-    PIVOT = "pivot"
-    ALREADY_FEASIBLE = "already_feasible"
-    INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class Phase1Decision:
-    infeasible: frozenset[int]  # rows with negative rhs (1-based)
-    w_vector: tuple[Value, ...]
-    entering_column: Optional[int]
-    leaving_row: Optional[int]
-    ratio: Optional[Value]
-    verdict: Phase1Verdict
 
 
 def infeasible_rows(d: Dictionary) -> frozenset[int]:
@@ -149,22 +131,19 @@ def break_tie(d: Dictionary, m: int, current: int, challenger: int, rule: TieBre
     return current if keep else challenger
 
 
-def phase1_step(
-    d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL
-) -> Phase1Decision:
-    """One pricing-and-ratio decision; performs no pivot itself."""
+def phase1_step(d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL) -> Decision:
+    """One pricing-and-ratio decision, priced by W; performs no pivot itself."""
     rows = infeasible_rows(d)
     if not rows:
-        w = tuple([d.mode.zero] * d.n)
-        return Phase1Decision(rows, w, None, None, None, Phase1Verdict.ALREADY_FEASIBLE)
+        return Decision(None, None, None, Status.FEASIBLE, (d.mode.zero,) * d.n)
     w_num = _column_sums(d, rows)
     m = select_entering(w_num, d.nonbasis, d.mode)
     w = tuple(map(d.value, w_num))
     if m is None:
         # W >= 0 over rows that must all rise: no entering column can help.
-        return Phase1Decision(rows, w, None, None, None, Phase1Verdict.INFEASIBLE)
+        return Decision(None, None, None, Status.INFEASIBLE, w)
     r, ratio = select_leaving(d, m, tie_break)
-    return Phase1Decision(rows, w, m, r, ratio, Phase1Verdict.PIVOT)
+    return Decision(m, r, ratio, None, w)
 
 
 class InvariantMonitor:
@@ -182,11 +161,11 @@ class InvariantMonitor:
         if not ok:
             self.violations.append(message)
 
-    def observe(self, before: Dictionary, decision: Phase1Decision, after: Dictionary) -> None:
+    def observe(self, before: Dictionary, decision: Decision, after: Dictionary) -> None:
         mode = before.mode
         self.checks += 1
         m, r = decision.entering_column, decision.leaving_row
-        w_m = decision.w_vector[m - 1]
+        w_m = decision.pricing[m - 1]
         t = decision.ratio
         self._flag(mode.is_negative(w_m), f"entering column {m} has W = {w_m}")
         self._flag(mode.is_nonnegative(t), f"selected ratio {t} is negative")
@@ -238,7 +217,7 @@ def run_phase1(
     config: Optional[SolveConfig] = None,
     monitor: Optional[InvariantMonitor] = None,
 ) -> tuple[Dictionary, Status, Trace]:
-    """Drive phase1_step to a verdict, recording a trace.
+    """Drive phase1_step to a stop, recording a trace.
 
     Stops with FEASIBLE or INFEASIBLE normally; CYCLE_DETECTED when a
     basis repeats (exact mode), ITERATION_LIMIT when the pivot budget is
@@ -251,11 +230,6 @@ def run_phase1(
         d,
         lambda d: phase1_step(d, cfg.tie_break),
         infeasibility_sum,
-        {
-            Phase1Verdict.ALREADY_FEASIBLE: Status.FEASIBLE,
-            Phase1Verdict.INFEASIBLE: Status.INFEASIBLE,
-        },
         cfg,
-        pricing=lambda d, decision: decision.w_vector,
         observe=None if monitor is None else monitor.observe,
     )

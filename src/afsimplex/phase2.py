@@ -2,32 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .dictionary import Dictionary, Label, LabelKind
 from .numeric import Value
 from .phase1 import break_tie, select_entering
-from .trace import SolveConfig, Status, TieBreak, Trace, drive
+from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
 
 class NotPrimalFeasible(ValueError):
     """Phase 2 was handed a dictionary with a negative right-hand side."""
-
-
-class Phase2Verdict(Enum):
-    PIVOT = "pivot"
-    OPTIMAL = "optimal"
-    UNBOUNDED = "unbounded"
-
-
-@dataclass(frozen=True)
-class Phase2Decision:
-    entering_column: Optional[int]
-    leaving_row: Optional[int]
-    ratio: Optional[Value]
-    verdict: Phase2Verdict
 
 
 def _check_primal_feasible(d: Dictionary) -> None:
@@ -60,7 +44,7 @@ def min_ratio(
 
 def phase2_step(
     d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL
-) -> Phase2Decision:
+) -> Decision:
     """One Dantzig decision: most negative objective entry enters (ties to
     the smallest label); the classical minimum ratio over positive column
     entries leaves.  A negative column with no positive entry means the
@@ -68,11 +52,11 @@ def phase2_step(
     _check_primal_feasible(d)
     entering = select_entering(d.num[0][1:], d.nonbasis, d.mode)
     if entering is None:
-        return Phase2Decision(None, None, None, Phase2Verdict.OPTIMAL)
+        return Decision(None, None, None, Status.OPTIMAL)
     best_row, best_ratio = min_ratio(d, entering, tie_break)
     if best_row is None:
-        return Phase2Decision(entering, None, None, Phase2Verdict.UNBOUNDED)
-    return Phase2Decision(entering, best_row, best_ratio, Phase2Verdict.PIVOT)
+        return Decision(entering, None, None, Status.UNBOUNDED)
+    return Decision(entering, best_row, best_ratio, None)
 
 
 def improving_ray(d: Dictionary, column: int) -> dict[Label, Value]:
@@ -108,6 +92,5 @@ def run_phase2(
         d,
         lambda d: phase2_step(d, cfg.tie_break),
         lambda d: d.mode.zero,
-        {Phase2Verdict.OPTIMAL: Status.OPTIMAL, Phase2Verdict.UNBOUNDED: Status.UNBOUNDED},
         cfg,
     )

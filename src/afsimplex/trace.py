@@ -35,7 +35,6 @@ class TieBreak(Enum):
 class SolveConfig:
     tie_break: TieBreak = TieBreak.SMALLEST_LABEL
     max_iterations: Optional[int] = None  # None -> 50 * (rows + columns)
-    detect_cycles: bool = True  # effective in exact mode only
     use_trick: bool = False  # conjugate-slack shortcut in the artificial method
 
     def iteration_budget(self, rows: int, columns: int) -> int:
@@ -84,7 +83,23 @@ class Trace:
         return tuple(corner for corner, _ in groupby(self.corners))
 
 
-def pivot_on(d, decision):
+@dataclass(frozen=True)
+class Decision:
+    """What a step decided.  `status` is None exactly when the pivot on
+    (leaving_row, entering_column) with step length `ratio` is due; any
+    other status ends the run, and an UNBOUNDED stop keeps its entering
+    column for the ray.  `pricing` is the vector the step priced columns
+    with, recorded with the pivot."""
+
+    entering_column: Optional[int]
+    leaving_row: Optional[int]
+    ratio: Optional[Value]
+    status: Optional[Status]
+    pricing: Optional[tuple[Value, ...]] = None
+    via_conjugate: bool = False
+
+
+def pivot_on(d, decision: Decision):
     """The decision's pivot, performed on a plain dictionary."""
     return d.pivot(decision.leaving_row, decision.entering_column)
 
@@ -94,34 +109,31 @@ def drive(
     state,
     step: Callable,
     measure: Callable,
-    stops: dict,
     config: SolveConfig,
     pivot: Callable = pivot_on,
-    pricing: Optional[Callable] = None,
     observe: Optional[Callable] = None,
     view: Callable = lambda state: state,
 ) -> tuple:
     """The one pivot loop: pivot from `state` until a stop, recording a trace.
 
-    `step(state)` decides; a verdict found in `stops` ends the run with the
-    mapped status, any other is performed by `pivot(state, decision)`.
-    `measure(state)` is the violation total, `pricing(state, decision)` the
-    pricing vector recorded with a pivot, `observe(before, decision, after)`
-    sees every pivot, and `view(state)` is the plain dictionary behind the
-    state.  The run also stops with ITERATION_LIMIT when the budget is
-    spent and, in exact mode, with CYCLE_DETECTED when a basis repeats.  A
-    pivot is degenerate when its ratio classifies as zero.
+    `step(state)` returns a Decision; one with a status ends the run with
+    it, any other is performed by `pivot(state, decision)`.
+    `measure(state)` is the violation total, `observe(before, decision,
+    after)` sees every pivot, and `view(state)` is the plain dictionary
+    behind the state.  The run also stops with ITERATION_LIMIT when the
+    budget is spent and, in exact mode, with CYCLE_DETECTED when a basis
+    repeats.  A pivot is degenerate when its ratio classifies as zero.
     """
     d = view(state)
     budget = config.iteration_budget(d.m, d.n)
-    seen = {d.signature()} if isinstance(d.mode, ExactMode) and config.detect_cycles else None
+    seen = {d.signature()} if isinstance(d.mode, ExactMode) else None
     records: list[PivotRecord] = []
     initial_corner = d.corner()
     initial = phi = measure(state)
 
     while True:
         decision = step(state)
-        status = stops.get(decision.verdict)
+        status = decision.status
         if status is not None:
             break
         if len(records) >= budget:
@@ -142,8 +154,8 @@ def drive(
                 infeasibility_before=phi_before,
                 infeasibility_after=phi,
                 corner=after.corner(),
-                pricing=None if pricing is None else pricing(state, decision),
-                via_conjugate=getattr(decision, "via_conjugate", False),
+                pricing=decision.pricing,
+                via_conjugate=decision.via_conjugate,
             )
         )
         state, d = nxt, after

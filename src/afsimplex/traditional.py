@@ -18,7 +18,6 @@ unchanged bit for bit.  That shortcut is the optional "trick" below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .dictionary import (
@@ -33,22 +32,7 @@ from .model import StandardProblem
 from .numeric import ExactMode, Value
 from .phase1 import select_entering
 from .phase2 import min_ratio
-from .trace import SolveConfig, Status, TieBreak, Trace, drive
-
-
-class TraditionalVerdict(Enum):
-    PIVOT = "pivot"
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class TraditionalDecision:
-    entering_column: Optional[int]
-    leaving_row: Optional[int]
-    ratio: Optional[Value]
-    via_conjugate: bool
-    verdict: TraditionalVerdict
+from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
 
 @dataclass(frozen=True)
@@ -182,8 +166,8 @@ def traditional_step(
     aux: AuxiliaryDictionary,
     use_trick: bool = False,
     tie_break: TieBreak = TieBreak.SMALLEST_LABEL,
-) -> TraditionalDecision:
-    """Decide the next auxiliary pivot (or a terminal verdict).
+) -> Decision:
+    """Decide the next auxiliary pivot (or a stop), priced by the auxiliary row.
 
     The method runs until no artificial is basic; the auxiliary value
     alone is not enough, because a degenerate artificial can sit at zero
@@ -193,21 +177,22 @@ def traditional_step(
     """
     mode = aux.mode
     d = aux.inner
+    pricing = aux.phase1_row[1:]
     art_rows = aux.artificial_rows()
     if not art_rows:
-        return TraditionalDecision(None, None, None, False, TraditionalVerdict.FEASIBLE)
+        return Decision(None, None, None, Status.FEASIBLE, pricing)
 
     if use_trick:
         for r in art_rows:
             if mode.is_zero(d.num[r][0]):
                 m = aux.conjugate_column(r)
-                return TraditionalDecision(m, r, mode.zero, True, TraditionalVerdict.PIVOT)
+                return Decision(m, r, mode.zero, None, pricing, via_conjugate=True)
 
     row = aux.aux_num
     entering = select_entering(row[1:], d.nonbasis, mode)
     if entering is None:
         if mode.is_negative(row[0]):
-            return TraditionalDecision(None, None, None, False, TraditionalVerdict.INFEASIBLE)
+            return Decision(None, None, None, Status.INFEASIBLE, pricing)
         # Auxiliary optimum at zero with artificials stuck at value zero:
         # swap each out through any nonzero entry of its row (the
         # conjugate slack guarantees one exists).
@@ -216,16 +201,14 @@ def traditional_step(
         if not nonzero:
             raise RuntimeError(f"artificial row {r} is identically zero")
         best = min(nonzero, key=d.column_label)
-        return TraditionalDecision(best, r, mode.zero, False, TraditionalVerdict.PIVOT)
+        return Decision(best, r, mode.zero, None, pricing)
 
     best_row, best_ratio = min_ratio(d, entering, tie_break)
     if best_row is None:
         # The auxiliary objective is bounded above by zero, so a fully
         # nonpositive column cannot occur on consistent input.
         raise RuntimeError(f"auxiliary column {entering} has no positive entry")
-    return TraditionalDecision(
-        entering, best_row, best_ratio, False, TraditionalVerdict.PIVOT
-    )
+    return Decision(entering, best_row, best_ratio, None, pricing)
 
 
 def run_traditional_phase1(
@@ -245,15 +228,10 @@ def run_traditional_phase1(
         aux,
         lambda aux: traditional_step(aux, cfg.use_trick, cfg.tie_break),
         AuxiliaryDictionary.infeasibility,
-        {
-            TraditionalVerdict.FEASIBLE: Status.FEASIBLE,
-            TraditionalVerdict.INFEASIBLE: Status.INFEASIBLE,
-        },
         cfg,
         pivot=lambda aux, decision: (
             aux.conjugate_pivot if decision.via_conjugate else aux.pivot
         )(decision.leaving_row, decision.entering_column),
-        pricing=lambda aux, decision: aux.phase1_row[1:],
         view=lambda aux: aux.inner,
     )
     return aux.inner, status, trace

@@ -23,7 +23,6 @@ from afsimplex.oracle import enumerate_vertices
 from afsimplex.phase1 import InvariantMonitor, run_phase1
 from afsimplex.trace import SolveConfig, Status, TieBreak
 from afsimplex.traditional import (
-    TraditionalVerdict,
     build_auxiliary,
     run_traditional_phase1,
     traditional_step,
@@ -91,8 +90,8 @@ def _audit_trick_run(sp):
     fired = 0
     while True:
         decision = traditional_step(aux, use_trick=True)
-        if decision.verdict is not TraditionalVerdict.PIVOT:
-            return decision.verdict, fired
+        if decision.status is not None:
+            return decision.status, fired
         r, m = decision.leaving_row, decision.entering_column
         before = aux.inner.entries
         aux = aux.conjugate_pivot(r, m) if decision.via_conjugate else aux.pivot(r, m)

@@ -263,6 +263,52 @@ def test_rational_pivot_walk_matches_the_fraction_formula(d, data):
         last = (r, m)
 
 
+def reference_negative_transpose(entries):
+    """d*_ji = -d_ij with the border rows swapped, on the values."""
+    top, rows = entries[0], entries[1:]
+    out = [(-top[0],) + tuple(row[0] for row in rows)]
+    for j in range(1, len(top)):
+        out.append((top[j],) + tuple(-row[j] for row in rows))
+    return tuple(out)
+
+
+@given(dictionaries(cell=RATIONAL_CELLS), st.data())
+@settings(max_examples=150, deadline=None)
+def test_rational_negative_transpose_pivots_in_lockstep(d, data):
+    # The transpose keeps den and D0 and trades the scaled and unscaled
+    # labels, so pivoting (m, r) on it takes the sigma of (r, m) here.
+    # As in the walk above, a step may pivot straight back.
+    t = d.negative_transpose()
+    reference = d.entries
+    reference_t = reference_negative_transpose(reference)
+    _assert_well_formed(t)
+    assert t.entries == reference_t
+    last = None
+    for _ in range(data.draw(st.integers(1, 6))):
+        spots = [
+            (i, j)
+            for i in range(1, d.m + 1)
+            for j in range(1, d.n + 1)
+            if reference[i][j] != 0
+        ]
+        if not spots:
+            break
+        if last is not None and data.draw(st.booleans()):
+            r, m = last
+        else:
+            r, m = data.draw(st.sampled_from(spots))
+        d, t = d.pivot(r, m), t.pivot(m, r)
+        reference = reference_pivot(reference, r, m)
+        reference_t = reference_pivot(reference_t, m, r)
+        for side in (d, t):
+            _assert_well_formed(side)
+        assert d.entries == reference
+        assert t.entries == reference_t
+        assert t.negative_transpose() == d
+        assert d.negative_transpose() == t
+        last = (r, m)
+
+
 def test_sigma_steps_on_the_cycler_rows(cycler_sp):
     # D0 = 100 here.  Pivoting a built-basic slack out for a structural
     # column scales by D0; pivoting straight back scales by 1/D0 and

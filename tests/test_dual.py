@@ -6,7 +6,6 @@ from fractions import Fraction as F
 import afsimplex as af
 from afsimplex.dictionary import Dictionary, slack, structural
 from afsimplex.dual import (
-    DualVerdict,
     dual_infeasibility_sum,
     dual_phase1_step,
 )
@@ -58,8 +57,8 @@ def test_one_row_example_reaches_dual_feasibility():
 def test_step_decision_mirrors_the_transpose():
     d = one_row_example()
     decision = dual_phase1_step(d)
-    assert decision.verdict is DualVerdict.PIVOT
-    assert decision.infeasible_columns == frozenset({1})
+    assert decision.status is None
+    assert decision.pricing == (F(1),)  # row sum over the negative column
     assert decision.entering_column == 1
     assert decision.leaving_row == 1
     mirror = af.phase1_step(d.negative_transpose())
@@ -77,7 +76,7 @@ def test_already_dual_feasible():
         entries=((F(0), F(2)), (F(-3), F(1))),
     )
     decision = dual_phase1_step(d)
-    assert decision.verdict is DualVerdict.ALREADY_DUAL_FEASIBLE
+    assert decision.status is Status.DUAL_FEASIBLE
     _, status, trace = af.run_dual_phase1(d, SolveConfig())
     assert status is Status.DUAL_FEASIBLE
     assert trace.pivots == 0
@@ -120,7 +119,7 @@ def test_dual_feasible_columns_stay_dual_feasible():
         d = random_dictionary(rng)
         while True:
             decision = dual_phase1_step(d)
-            if decision.verdict is not DualVerdict.PIVOT:
+            if decision.status is not None:
                 break
             nonneg_before = {
                 d.column_label(j)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from afsimplex import EXACT, ClassifiedZeroDivision, ExactMode, FloatMode, scalar_sign
+from afsimplex import EXACT, ClassifiedZeroDivision, ExactMode, FloatMode
 from afsimplex.numeric import NEGATIVE, POSITIVE, ZERO
 
 
@@ -24,6 +24,8 @@ def test_exact_sign():
     assert EXACT.sign(Fraction(-1, 10**12)) == NEGATIVE
     assert EXACT.sign(Fraction(0)) == ZERO
     assert EXACT.sign(Fraction(1, 10**12)) == POSITIVE
+    assert EXACT.sign(Fraction(-2)) == NEGATIVE
+    assert EXACT.sign(Fraction(7)) == POSITIVE
 
 
 def test_float_sign_band():
@@ -67,11 +69,6 @@ def test_sign_predicates():
     assert EXACT.is_positive(Fraction(3))
     assert EXACT.is_nonnegative(Fraction(0))
     assert not EXACT.is_nonnegative(Fraction(-1, 5))
-
-
-def test_scalar_sign_defaults_to_exact():
-    assert scalar_sign(Fraction(-2)) == NEGATIVE
-    assert scalar_sign(Fraction(7)) == POSITIVE
 
 
 def test_modes_are_frozen():

@@ -7,7 +7,6 @@ import pytest
 import afsimplex as af
 from afsimplex.dictionary import Dictionary, initial_dictionary, slack, structural
 from afsimplex.phase1 import (
-    Phase1Verdict,
     infeasibility_sum,
     infeasible_rows,
     phase1_objective_vector,
@@ -56,10 +55,10 @@ def test_walk_exact_decrease_identity(walk_sp):
     cfg = SolveConfig(tie_break=TieBreak.SMALLEST_ABS_PIVOT)
     while True:
         decision = phase1_step(d, cfg.tie_break)
-        if decision.verdict is not Phase1Verdict.PIVOT:
+        if decision.status is not None:
             break
         before = infeasibility_sum(d)
-        w_m = decision.w_vector[decision.entering_column - 1]
+        w_m = decision.pricing[decision.entering_column - 1]
         d = d.pivot(decision.leaving_row, decision.entering_column)
         assert infeasibility_sum(d) == before + decision.ratio * w_m
 
@@ -79,7 +78,7 @@ def test_already_feasible_is_a_no_op():
     sp = problem_from("max: x1;\nc1: x1 <= 5;\n")
     d0 = initial_dictionary(sp)
     decision = phase1_step(d0, TieBreak.SMALLEST_LABEL)
-    assert decision.verdict is Phase1Verdict.ALREADY_FEASIBLE
+    assert decision.status is Status.FEASIBLE
     d1, status, trace = af.run_phase1(d0, SolveConfig())
     assert status is Status.FEASIBLE
     assert trace.pivots == 0
@@ -93,8 +92,8 @@ def test_strip_detected_infeasible(strip_sp):
     assert trace.pivots == 1
     # pricing at the stuck dictionary is nonnegative while rows stay short
     decision = phase1_step(d1, TieBreak.SMALLEST_LABEL)
-    assert decision.verdict is Phase1Verdict.INFEASIBLE
-    assert decision.w_vector == (F(1),)
+    assert decision.status is Status.INFEASIBLE
+    assert decision.pricing == (F(1),)
     assert infeasible_rows(d1)
     # the brute-force enumeration agrees the region is empty
     assert not af.enumerate_vertices(strip_sp).feasible

@@ -8,7 +8,6 @@ import afsimplex as af
 from afsimplex.dictionary import LabelKind
 from afsimplex.traditional import (
     AuxiliaryDictionary,
-    TraditionalVerdict,
     build_auxiliary,
     traditional_step,
 )
@@ -52,7 +51,7 @@ def test_build_auxiliary_feasible_problem_has_no_artificials():
     assert all(l.kind is not LabelKind.ARTIFICIAL for l in aux.inner.basis)
     assert aux.infeasibility() == F(0)
     decision = traditional_step(aux, use_trick=False, tie_break=TieBreak.SMALLEST_LABEL)
-    assert decision.verdict is TraditionalVerdict.FEASIBLE
+    assert decision.status is Status.FEASIBLE
 
 
 def test_walk_golden_trace(walk_sp):
@@ -86,10 +85,10 @@ def test_phase1_row_recomputes_after_every_pivot(walk_sp):
         decision = traditional_step(
             aux, use_trick=False, tie_break=TieBreak.SMALLEST_LABEL
         )
-        if decision.verdict is not TraditionalVerdict.PIVOT:
+        if decision.status is not None:
             break
         aux = aux.pivot(decision.leaving_row, decision.entering_column)
-    assert decision.verdict is TraditionalVerdict.FEASIBLE
+    assert decision.status is Status.FEASIBLE
 
 
 def test_conjugate_slack_column_structure(walk_sp):
@@ -109,7 +108,7 @@ def test_conjugate_slack_column_structure(walk_sp):
         decision = traditional_step(
             aux, use_trick=False, tie_break=TieBreak.SMALLEST_LABEL
         )
-        if decision.verdict is not TraditionalVerdict.PIVOT:
+        if decision.status is not None:
             break
         aux = aux.pivot(decision.leaving_row, decision.entering_column)
 
@@ -124,7 +123,7 @@ def test_trick_fires_and_matches_the_full_pivot():
         decision = traditional_step(
             aux, use_trick=True, tie_break=TieBreak.SMALLEST_LABEL
         )
-        if decision.verdict is not TraditionalVerdict.PIVOT:
+        if decision.status is not None:
             break
         if decision.via_conjugate:
             fired = True
@@ -149,7 +148,7 @@ def test_trick_fires_and_matches_the_full_pivot():
         else:
             aux = aux.pivot(decision.leaving_row, decision.entering_column)
     assert fired
-    assert decision.verdict is TraditionalVerdict.FEASIBLE
+    assert decision.status is Status.FEASIBLE
 
 
 def test_trick_on_off_same_verdict():
