@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from afsimplex import EXACT, ClassifiedZeroDivision, ExactMode, FloatMode
+from afsimplex import EXACT, ClassifiedZeroDivision, ExactMode, FloatMode, parse_lp
 from afsimplex.numeric import NEGATIVE, POSITIVE, ZERO
 
 
@@ -24,8 +24,6 @@ def test_exact_sign():
     assert EXACT.sign(Fraction(-1, 10**12)) == NEGATIVE
     assert EXACT.sign(Fraction(0)) == ZERO
     assert EXACT.sign(Fraction(1, 10**12)) == POSITIVE
-    assert EXACT.sign(Fraction(-2)) == NEGATIVE
-    assert EXACT.sign(Fraction(7)) == POSITIVE
 
 
 def test_float_sign_band():
@@ -69,6 +67,14 @@ def test_sign_predicates():
     assert EXACT.is_positive(Fraction(3))
     assert EXACT.is_nonnegative(Fraction(0))
     assert not EXACT.is_nonnegative(Fraction(-1, 5))
+
+
+def test_scalar_sign_defaults_to_exact():
+    mode = parse_lp("max: x1;\nc1: x1 <= 1;\n").mode
+    assert mode is EXACT
+    assert mode.sign(Fraction(-2)) == NEGATIVE
+    assert mode.sign(Fraction(7)) == POSITIVE
+    assert mode.sign(Fraction(1, 10**30)) == POSITIVE
 
 
 def test_modes_are_frozen():
