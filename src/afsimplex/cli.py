@@ -188,15 +188,17 @@ def _cmd_compare(args) -> int:
 def _cmd_gen(args) -> int:
     if args.rows < 1 or args.cols < 1:
         raise _UsageError("--rows and --cols must be at least 1")
-    if args.coeff_lo > args.coeff_hi:
-        raise _UsageError("--coeff-lo must not exceed --coeff-hi")
-    gp = generate_lp(
-        seed=args.seed,
-        rows=args.rows,
-        cols=args.cols,
-        coeff_range=(args.coeff_lo, args.coeff_hi),
-        shape=Shape(args.shape),
-    )
+    try:
+        gp = generate_lp(
+            seed=args.seed,
+            rows=args.rows,
+            cols=args.cols,
+            coeff_range=(args.coeff_lo, args.coeff_hi),
+            shape=Shape(args.shape),
+        )
+    except ValueError as exc:
+        bounds = f"--coeff-lo {args.coeff_lo} --coeff-hi {args.coeff_hi}"
+        raise _UsageError(f"{bounds}: {exc}") from exc
     text = format_lp(gp)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

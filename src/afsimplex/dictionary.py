@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 from .model import StandardProblem
 from .numeric import EXACT, ExactMode, NumericMode, Value
@@ -74,14 +74,6 @@ def slack(index: int) -> Label:
 
 def artificial(index: int) -> Label:
     return Label(LabelKind.ARTIFICIAL, index)
-
-
-@dataclass(frozen=True)
-class DictStatus:
-    primal_feasible: bool
-    dual_feasible: bool
-    inconsistent_row: Optional[int]
-    unbounded_column: Optional[int]
 
 
 class Dictionary:
@@ -285,34 +277,6 @@ class Dictionary:
         nonbasis = self.nonbasis[: m - 1] + self.nonbasis[m:]
         num = tuple(row[:m] + row[m + 1 :] for row in self.num)
         return self._derive(self.basis, nonbasis, num, self.den)
-
-    def classify(self) -> DictStatus:
-        """Feasibility flags plus one-line certificates when available.
-
-        inconsistent_row is the smallest row with negative rhs and no
-        negative entry (its equation cannot be satisfied by nonnegative
-        variables); unbounded_column is the smallest column with negative
-        objective entry and no positive entry below it.
-        """
-        mode = self.mode
-        d = self.num
-        primal = all(mode.is_nonnegative(d[i][0]) for i in range(1, self.m + 1))
-        dual = all(mode.is_nonnegative(d[0][j]) for j in range(1, self.n + 1))
-        inconsistent = None
-        for i in range(1, self.m + 1):
-            if mode.is_negative(d[i][0]) and all(
-                mode.is_nonnegative(d[i][j]) for j in range(1, self.n + 1)
-            ):
-                inconsistent = i
-                break
-        unbounded = None
-        for j in range(1, self.n + 1):
-            if mode.is_negative(d[0][j]) and all(
-                mode.sign(d[i][j]) <= 0 for i in range(1, self.m + 1)
-            ):
-                unbounded = j
-                break
-        return DictStatus(primal, dual, inconsistent, unbounded)
 
     def basic_solution(self) -> tuple[dict[Label, Value], Value]:
         """Values of every label (nonbasic ones are zero) and the objective."""

@@ -43,6 +43,8 @@ def generate_lp(
     lo, hi = coeff_range
     if lo > hi:
         raise ValueError("empty coefficient range")
+    if lo == hi == 0:
+        raise ValueError("coefficient range (0, 0) allows no nonzero row")
     rng = random.Random(f"{seed}:{rows}:{cols}:{lo}:{hi}:{shape.value}")
 
     variables = tuple(f"x{j}" for j in range(1, cols + 1))

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .dictionary import Dictionary, LabelKind, initial_dictionary
+from .dictionary import LabelKind, initial_dictionary
 from .model import StandardProblem
 from .numeric import Value
 from .phase1 import InvariantMonitor, infeasible_rows, run_phase1
@@ -59,15 +59,6 @@ class ComparisonReport:
     af_pivots_le_traditional: bool
 
 
-def _structural_solution(sp: StandardProblem, d: Dictionary) -> dict[str, Value]:
-    values, _ = d.basic_solution()
-    out: dict[str, Value] = {}
-    for label, value in values.items():
-        if label.kind is LabelKind.STRUCTURAL:
-            out[sp.variables[label.index - 1]] = value
-    return {v: out[v] for v in sp.variables}
-
-
 def solve(
     sp: StandardProblem,
     method: Method = Method.ARTIFICIAL_FREE,
@@ -98,7 +89,7 @@ def solve(
         d2, s2, phase2_trace = run_phase2(d1, cfg)
         status = s2
         if s2 is Status.OPTIMAL:
-            solution = _structural_solution(sp, d2)
+            solution = dict(zip(sp.variables, d2.corner()))
             value = d2.objective_value
             objective = -value if sp.negated_objective else value
         elif s2 is Status.UNBOUNDED:

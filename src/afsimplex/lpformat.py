@@ -15,6 +15,7 @@ convenience, the right-hand side number may carry a leading sign.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -40,55 +41,29 @@ class _Token:
     column: int
 
 
-_SYMBOLS = ("<=", ">=", "=", ":", ";", "+", "-", "*", "/")
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<number>\d+\.?\d*|\.\d+)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<symbol><=|>=|[=:;+*/-])"
+    r"|(?P<bad>.)"
+)
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < len(text) and text[i] != "\n":
-                i += 1
-            continue
-        start_col = col
-        if ch.isdigit() or (ch == "." and i + 1 < len(text) and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < len(text) and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or text[j] == "."
-                j += 1
-            tokens.append(_Token("number", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, start_col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(_Token("symbol", sym, line, start_col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind is not None:
+            column = match.start() - line_start + 1
+            if kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
+                kind = "bad"  # \w holds numerals such as "²" that start no name
+            if kind == "bad":
+                raise ParseError(f"unexpected character {word[0]!r}", line, column)
+            tokens.append(_Token(kind, word, line, column))
     return tokens
 
 

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 from .numeric import EXACT, NumericMode, Value
 
@@ -18,15 +18,6 @@ class Relation(Enum):
     LE = "<="
     GE = ">="
     EQ = "="
-
-
-class Transform(Enum):
-    """How a standard row was obtained from its source constraint."""
-
-    DIRECT = "direct"
-    NEGATED = "negated"
-    EQ_LE = "eq-le"
-    EQ_GE = "eq-ge"
 
 
 class UnsupportedFreeVariable(ValueError):
@@ -95,23 +86,15 @@ class GeneralProblem:
 
 
 @dataclass(frozen=True)
-class RowOrigin:
-    constraint: str
-    transform: Transform
-
-
-@dataclass(frozen=True)
 class StandardProblem:
-    """max c.x subject to A x <= b, x >= 0, plus row provenance."""
+    """max c.x subject to A x <= b, x >= 0, with the name of every row."""
 
     A: tuple[tuple[Value, ...], ...]
     b: tuple[Value, ...]
     c: tuple[Value, ...]
     variables: tuple[str, ...]
     row_names: tuple[str, ...]
-    origins: tuple[RowOrigin, ...]
     negated_objective: bool
-    zero_columns: tuple[str, ...]
     mode: NumericMode = EXACT
 
     @property
@@ -128,7 +111,7 @@ class StandardProblem:
         for row in self.A:
             if len(row) != self.p:
                 raise ValueError("ragged constraint matrix")
-        if not (len(self.row_names) == len(self.origins) == self.m):
+        if len(self.row_names) != self.m:
             raise ValueError("row metadata out of step with the matrix")
 
 
@@ -136,9 +119,8 @@ def standardize(gp: GeneralProblem) -> StandardProblem:
     """Rewrite gp as max c.x, A x <= b, x >= 0.
 
     Minimization flips the objective sign; >= rows are negated; each
-    equality splits into a <= pair.  Free variables are rejected rather
-    than substituted, and the provenance of every produced row is kept so
-    results can be reported against the original constraint names.
+    equality splits into a <= pair named "<name>.le" and "<name>.ge".
+    Free variables are rejected rather than substituted.
     """
     mode = gp.mode
     if gp.free:
@@ -158,9 +140,8 @@ def standardize(gp: GeneralProblem) -> StandardProblem:
     rows: list[tuple[Value, ...]] = []
     b: list[Value] = []
     names: list[str] = []
-    origins: list[RowOrigin] = []
 
-    def emit(con: Constraint, flip: bool, name: str, transform: Transform) -> None:
+    def emit(con: Constraint, flip: bool, name: str) -> None:
         row = [con.coeffs.get(v, mode.coerce(0)) for v in variables]
         rhs = con.rhs
         if flip:
@@ -169,30 +150,20 @@ def standardize(gp: GeneralProblem) -> StandardProblem:
         rows.append(tuple(row))
         b.append(rhs)
         names.append(name)
-        origins.append(RowOrigin(con.name, transform))
 
     for con in gp.constraints:
-        if con.relation is Relation.LE:
-            emit(con, False, con.name, Transform.DIRECT)
-        elif con.relation is Relation.GE:
-            emit(con, True, con.name, Transform.NEGATED)
+        if con.relation is Relation.EQ:
+            emit(con, False, con.name + ".le")
+            emit(con, True, con.name + ".ge")
         else:
-            emit(con, False, con.name + ".le", Transform.EQ_LE)
-            emit(con, True, con.name + ".ge", Transform.EQ_GE)
+            emit(con, con.relation is Relation.GE, con.name)
 
-    zero_cols = tuple(
-        variables[j]
-        for j in range(len(variables))
-        if all(mode.is_zero(row[j]) for row in rows)
-    )
     return StandardProblem(
         A=tuple(rows),
         b=tuple(b),
         c=tuple(c),
         variables=variables,
         row_names=tuple(names),
-        origins=tuple(origins),
         negated_objective=negated,
-        zero_columns=zero_cols,
         mode=mode,
     )

@@ -8,6 +8,7 @@ values; the tolerance never creeps into them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -93,8 +94,8 @@ class FloatMode(NumericMode):
     eps: float = 1e-9
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be positive and finite")
 
     @property
     def zero(self) -> float:

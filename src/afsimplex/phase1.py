@@ -82,15 +82,18 @@ def select_entering(
 
 def select_leaving(
     d: Dictionary, m: int, tie_break: TieBreak = TieBreak.SMALLEST_LABEL
-) -> tuple[int, Value]:
-    """Ratio test over column m; returns (row, ratio).
+) -> tuple[Optional[int], Optional[Value]]:
+    """Ratio test over column m; returns (row, ratio), or (None, None)
+    when no row is eligible.
 
     A row is eligible when rhs and column entry are both negative, or
     when rhs is nonnegative and the entry is positive.  A row with rhs
     zero and a negative entry is deliberately not eligible: pivoting
     there would be the degenerate step the method exists to avoid.
     Minimum ratio wins; ties fall to the configured rule, then to the
-    smallest basis label.
+    smallest basis label.  On a primal-feasible dictionary only the
+    second kind exists, so this is the classical minimum-ratio test, and
+    phase 2 and the traditional method use it as such.
     """
     mode = d.mode
     best_row: Optional[int] = None
@@ -109,8 +112,6 @@ def select_leaving(
             best_row, best_ratio = i, ratio
         elif ratio == best_ratio:
             best_row = break_tie(d, m, best_row, i, tie_break)
-    if best_row is None:
-        raise NoEligibleRow(f"no eligible row in column {m}")
     return best_row, best_ratio
 
 
@@ -143,6 +144,8 @@ def phase1_step(d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL) ->
         # W >= 0 over rows that must all rise: no entering column can help.
         return Decision(None, None, None, Status.INFEASIBLE, w)
     r, ratio = select_leaving(d, m, tie_break)
+    if r is None:
+        raise NoEligibleRow(f"no eligible row in column {m}")
     return Decision(m, r, ratio, None, w)
 
 

@@ -6,7 +6,7 @@ from typing import Optional
 
 from .dictionary import Dictionary, Label, LabelKind
 from .numeric import Value
-from .phase1 import break_tie, select_entering
+from .phase1 import select_entering, select_leaving
 from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
 
@@ -20,28 +20,6 @@ def _check_primal_feasible(d: Dictionary) -> None:
             raise NotPrimalFeasible(f"row {i} has rhs {d.rhs(i)!r}")
 
 
-def min_ratio(
-    d: Dictionary, m: int, tie_break: TieBreak = TieBreak.SMALLEST_LABEL
-) -> tuple[Optional[int], Optional[Value]]:
-    """Classical minimum-ratio test over the positive entries of column m.
-
-    Returns (row, ratio), or (None, None) when no entry is positive.
-    """
-    mode = d.mode
-    best_row: Optional[int] = None
-    best_ratio: Optional[Value] = None
-    for i in range(1, d.m + 1):
-        row = d.num[i]
-        if not mode.is_positive(row[m]):
-            continue
-        ratio = mode.div(row[0], row[m])  # the common denominator cancels
-        if best_ratio is None or ratio < best_ratio:
-            best_row, best_ratio = i, ratio
-        elif ratio == best_ratio:
-            best_row = break_tie(d, m, best_row, i, tie_break)
-    return best_row, best_ratio
-
-
 def phase2_step(
     d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL
 ) -> Decision:
@@ -53,7 +31,7 @@ def phase2_step(
     entering = select_entering(d.num[0][1:], d.nonbasis, d.mode)
     if entering is None:
         return Decision(None, None, None, Status.OPTIMAL)
-    best_row, best_ratio = min_ratio(d, entering, tie_break)
+    best_row, best_ratio = select_leaving(d, entering, tie_break)
     if best_row is None:
         return Decision(entering, None, None, Status.UNBOUNDED)
     return Decision(entering, best_row, best_ratio, None)

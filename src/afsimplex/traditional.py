@@ -30,8 +30,7 @@ from .dictionary import (
 )
 from .model import StandardProblem
 from .numeric import ExactMode, Value
-from .phase1 import select_entering
-from .phase2 import min_ratio
+from .phase1 import select_entering, select_leaving
 from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
 
@@ -203,7 +202,7 @@ def traditional_step(
         best = min(nonzero, key=d.column_label)
         return Decision(best, r, mode.zero, None, pricing)
 
-    best_row, best_ratio = min_ratio(d, entering, tie_break)
+    best_row, best_ratio = select_leaving(d, entering, tie_break)
     if best_row is None:
         # The auxiliary objective is bounded above by zero, so a fully
         # nonpositive column cannot occur on consistent input.

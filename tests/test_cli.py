@@ -148,9 +148,14 @@ def test_gen_out_file_then_solve(tmp_path, capsys):
 
 def test_gen_rejects_bad_arguments(capsys):
     assert main(["gen", "--seed", "1", "--rows", "0", "--cols", "2"]) == 64
-    assert main(["gen", "--seed", "1", "--rows", "2", "--cols", "2",
-                 "--coeff-lo", "3", "--coeff-hi", "1"]) == 64
     capsys.readouterr()
+    # (0, 0) allows only all-zero rows, which the generator would redraw forever
+    for lo, hi in (("3", "1"), ("0", "0")):
+        assert main(["gen", "--seed", "1", "--rows", "2", "--cols", "2",
+                     "--coeff-lo", lo, "--coeff-hi", hi]) == 64
+        captured = capsys.readouterr()
+        assert captured.err.startswith("afsimplex: --coeff-")
+        assert captured.out == ""
 
 
 def test_oracle_exit_codes(lp_file, capsys):
@@ -179,7 +184,7 @@ def test_console_script_smoke(tmp_path):
     assert json.loads(proc.stdout)["status"] == "unbounded"
 
 
-@pytest.mark.parametrize("eps", ["0", "nan", "-0.5"])
+@pytest.mark.parametrize("eps", ["0", "nan", "-0.5", "inf"])
 def test_float_eps_must_be_positive(lp_file, capsys, eps):
     path = lp_file(BOX_TEXT)
     assert main(["solve", path, "--numeric", "float", "--eps", eps]) == 64

@@ -9,7 +9,7 @@ from afsimplex.dual import (
     dual_infeasibility_sum,
     dual_phase1_step,
 )
-from afsimplex.trace import SolveConfig, Status, TieBreak
+from afsimplex.trace import SolveConfig, Status
 
 
 def one_row_example():

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 from itertools import product
 
+import pytest
+
 import afsimplex as af
 from afsimplex.generate import Shape, generate_lp
 
@@ -99,3 +101,13 @@ def test_shape_values_are_cli_friendly():
         "infeasible-biased",
         "degenerate-biased",
     }
+
+
+@pytest.mark.parametrize("shape", list(Shape))
+def test_all_zero_coefficient_range_is_refused(shape):
+    # every drawn row would be zero, and a zero row is redrawn
+    with pytest.raises(ValueError, match="nonzero"):
+        generate_lp(seed=1, rows=2, cols=2, coeff_range=(0, 0), shape=shape)
+    for one_sided in ((0, 1), (-1, 0)):
+        gp = generate_lp(seed=1, rows=2, cols=2, coeff_range=one_sided, shape=shape)
+        assert all(any(con.coeffs.values()) for con in gp.constraints)

@@ -2,8 +2,6 @@
 
 from fractions import Fraction as F
 
-import pytest
-
 import afsimplex as af
 from afsimplex.harness import Method, compare, solve
 from afsimplex.trace import SolveConfig, Status, TieBreak

@@ -1,7 +1,6 @@
 """JSON emission: schema shape, exact rationals, byte determinism."""
 
 import json
-from fractions import Fraction as F
 
 import afsimplex as af
 from afsimplex.harness import Method, compare, solve

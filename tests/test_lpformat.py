@@ -94,6 +94,23 @@ def test_missing_semicolon_reports_position():
     assert info.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        # a tab is one column; a comment and a \r\n line end are skipped
+        ("max: x; # objective\r\nc1:\tx <= 1; # cap\r\n\tc2: x @ 2;\n",
+         3, 8, "unexpected character '@'"),
+        ("max: x;\r\n# note\r\n\tc1:\tx 1;\n", 3, 8, "found '1'"),
+        ("max: x;\r\nc1: x <= 1;\r\n\t# last\r\n\tc2: 2.5 x <=", 4, 14, "end of input"),
+    ],
+    ids=["character", "token", "end"],
+)
+def test_parse_error_reports_line_and_column(text, line, column, message):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_lp(text)
+    assert (info.value.line, info.value.column) == (line, column)
+
+
 def test_unknown_character():
     with pytest.raises(ParseError, match="unexpected character"):
         parse_lp("max: x @ y; c: x <= 1;")

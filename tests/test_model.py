@@ -5,7 +5,6 @@ from fractions import Fraction as F
 import pytest
 
 import afsimplex as af
-from afsimplex.model import RowOrigin, Transform
 
 
 def test_walk_standardization(walk_sp):
@@ -34,28 +33,23 @@ def test_equality_splits_into_pair():
     assert sp.A == ((F(1), F(1)), (F(-1), F(-1)))
     assert sp.b == (F(2), F(-2))
     assert sp.row_names == ("c.le", "c.ge")
-    assert sp.origins == (
-        RowOrigin("c", Transform.EQ_LE),
-        RowOrigin("c", Transform.EQ_GE),
-    )
 
 
-def test_ge_rows_are_negated(walk_sp):
-    directs = [o for o in walk_sp.origins if o.transform is Transform.DIRECT]
-    negated = [o for o in walk_sp.origins if o.transform is Transform.NEGATED]
-    assert [o.constraint for o in directs] == ["c1"]
-    assert [o.constraint for o in negated] == ["c2", "c3", "c4", "c5"]
+def test_ge_rows_are_negated(walk_problem, walk_sp):
+    # c1 is a <= row and is kept as written; c2..c5 are >= rows, negated
+    # together with their right-hand sides, and every row keeps its name
+    assert walk_sp.row_names == ("c1", "c2", "c3", "c4", "c5")
+    relations = [con.relation for con in walk_problem.constraints]
+    assert relations == [af.Relation.LE] + [af.Relation.GE] * 4
+    for con, row, rhs in zip(walk_problem.constraints, walk_sp.A, walk_sp.b):
+        sign = -1 if con.relation is af.Relation.GE else 1
+        assert row == tuple(sign * con.coeffs.get(v, 0) for v in walk_sp.variables)
+        assert rhs == sign * con.rhs
 
 
 def test_variable_registry_by_appearance():
     gp = af.parse_lp("max: b + a;\nc1: z + a <= 1;\n")
     assert gp.variables == ("b", "a", "z")
-
-
-def test_zero_column_names():
-    # y never appears in any constraint row
-    sp = af.standardize(af.parse_lp("max: x + y;\nc1: x <= 1;\n"))
-    assert sp.zero_columns == ("y",)
 
 
 def test_free_variable_rejected():

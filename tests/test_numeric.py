@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from afsimplex import EXACT, ClassifiedZeroDivision, ExactMode, FloatMode, parse_lp
+from afsimplex import EXACT, ClassifiedZeroDivision, FloatMode, parse_lp
 from afsimplex.numeric import NEGATIVE, POSITIVE, ZERO
 
 

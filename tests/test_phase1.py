@@ -2,10 +2,12 @@
 
 from fractions import Fraction as F
 
-import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import afsimplex as af
 from afsimplex.dictionary import Dictionary, initial_dictionary, slack, structural
+from afsimplex.numeric import EXACT, FloatMode
 from afsimplex.phase1 import (
     infeasibility_sum,
     infeasible_rows,
@@ -126,6 +128,58 @@ def test_positive_rows_guard_the_ratio():
         entries=((F(0), F(0)), (F(3), F(2)), (F(-4), F(-2))),
     )
     assert select_leaving(d, 1, TieBreak.SMALLEST_LABEL) == (1, F(3, 2))
+
+
+def classical_min_ratio(d, m, tie_break):
+    """The textbook leaving rule, kept as the reference for select_leaving
+    on primal-feasible dictionaries: the least rhs / entry over the
+    positive entries of column m, ties to the rule and then to the
+    smaller basis label; (None, None) when no entry is positive."""
+    mode = d.mode
+    rows = [i for i in range(1, d.m + 1) if mode.is_positive(d.entry(i, m))]
+    if not rows:
+        return None, None
+    ratio = {i: d.rhs(i) / d.entry(i, m) for i in rows}
+    best = min(ratio.values())
+    tied = [i for i in rows if ratio[i] == best]
+    pivot = {
+        TieBreak.SMALLEST_LABEL: lambda i: 0,
+        TieBreak.SMALLEST_ABS_PIVOT: lambda i: abs(d.entry(i, m)),
+        TieBreak.LARGEST_ABS_PIVOT: lambda i: -abs(d.entry(i, m)),
+    }[tie_break]
+    return min(tied, key=lambda i: (pivot(i), d.row_label(i))), best
+
+
+CELLS = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2]))
+
+
+@st.composite
+def primal_feasible_dictionaries(draw):
+    """Dictionaries with every rhs >= 0 (zero included), rational or float
+    entries, and basis labels in a drawn order so that label ties matter."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 3))
+    labels = [slack(i + 1) for i in range(m)] + [structural(j + 1) for j in range(n)]
+    labels = draw(st.permutations(labels))
+    rows = [tuple(draw(CELLS) for _ in range(n + 1))]
+    for _ in range(m):
+        rhs = draw(st.integers(0, 2).map(F))  # small, so that ratios tie
+        rows.append((rhs,) + tuple(draw(CELLS) for _ in range(n)))
+    mode = draw(st.sampled_from([EXACT, FloatMode()]))
+    if mode is not EXACT:
+        rows = [tuple(map(float, row)) for row in rows]
+    return Dictionary(tuple(labels[:m]), tuple(labels[m:]), tuple(rows), mode)
+
+
+@given(
+    primal_feasible_dictionaries(),
+    st.integers(1, 3),
+    st.sampled_from(list(TieBreak)),
+)
+def test_leaving_rule_is_classical_on_feasible_dictionaries(d, m, tie_break):
+    # phase 2 and the traditional method rely on this agreement
+    m = min(m, d.n)
+    assert select_leaving(d, m, tie_break) == classical_min_ratio(d, m, tie_break)
 
 
 def test_monitor_collects_checks(walk_sp):

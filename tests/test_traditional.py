@@ -2,8 +2,6 @@
 
 from fractions import Fraction as F
 
-import pytest
-
 import afsimplex as af
 from afsimplex.dictionary import LabelKind
 from afsimplex.traditional import (

@@ -1,0 +1,47 @@
+"""Every top-level import of the library and of the tests is read."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted((ROOT / "src" / "afsimplex").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+
+
+def unread_imports(path):
+    """Names bound by the module's top-level imports that it never reads.
+
+    `from __future__` imports are skipped, and a package's __init__ reads
+    the names it lists in __all__ (its re-exports).
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [alias.asname or alias.name for alias in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    if path.name == "__init__.py":
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                read |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+def test_sources_were_found():
+    assert len(SOURCES) >= 30
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_import_is_read(path):
+    assert unread_imports(path) == []
