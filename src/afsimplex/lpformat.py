@@ -16,9 +16,8 @@ convenience, the right-hand side number may carry a leading sign.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .model import Constraint, EmptyProblem, GeneralProblem, Relation, Sense
 from .numeric import EXACT, NumericMode, Value
@@ -33,8 +32,7 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # ident | number | symbol
     text: str
     line: int

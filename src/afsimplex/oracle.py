@@ -1,11 +1,16 @@
 """Ground-truth checker: exhaustive enumeration of basic solutions.
 
-Deliberately shares no code path with the simplex machinery.  The
-constraint system A x <= b, x >= 0 is rewritten as [A | I] y = b with
-y >= 0; every m-subset of columns is solved exactly, nonnegative
-solutions are collected as vertices, and unboundedness is decided by
-testing every edge direction at every feasible basis for a feasible,
-objective-improving ray.
+Deliberately shares no code path with the simplex machinery: it imports
+only the standard library, `.model` and `.numeric`.  The constraint
+system A x <= b, x >= 0 is rewritten as [A | I] y = b with y >= 0 and
+row-scaled to integers; every m-subset of columns is a candidate basis B.
+Feasibility comes first.  One fraction-free elimination of [B | b] gives
+x_B as integer numerators over det, and the subset is dropped when B is
+singular or x_B has a negative entry, as most are.  Only at a feasible
+basis are the nonbasic columns solved as well, to test every edge
+direction for a feasible, objective-improving ray until one is found.
+Fractions are built only for vertex coordinates and for the reduced cost
+of a candidate ray.
 """
 
 from __future__ import annotations
@@ -52,42 +57,38 @@ def _integer_rows(sp: StandardProblem) -> tuple[list[list[int]], list[int]]:
 
 def _solve_subset(
     matrix: list[list[int]], width: int
-) -> Optional[list[list[Fraction]]]:
-    """Gaussian elimination on an integer matrix whose first `width`
-    columns must be invertible; returns solutions for every augmented
-    column, or None when singular.  Fraction-free (Bareiss) forward pass,
-    exact back-substitution."""
+) -> Optional[tuple[int, list[list[int]]]]:
+    """Solve an integer system whose first `width` columns must be
+    invertible, fraction-free (Bareiss) throughout.  Returns (det, X) with
+    one list of integer numerators per augmented column, so x = X / det
+    exactly, or None when singular; det is the last Bareiss pivot, the
+    determinant of the row-permuted system."""
     a = [row[:] for row in matrix]
-    size = width
     total = len(a[0])
-    sign = 1
     prev = 1
-    for k in range(size):
-        pivot_row = next(
-            (i for i in range(k, size) if a[i][k] != 0),
-            None,
-        )
+    for k in range(width):
+        pivot_row = next((i for i in range(k, width) if a[i][k] != 0), None)
         if pivot_row is None:
             return None
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
+        a[k], a[pivot_row] = a[pivot_row], a[k]
+        pivot = a[k]
+        for row in a[k + 1:]:  # entries left of k + 1 are never read again
             for j in range(k + 1, total):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
+                row[j], rest = divmod(row[j] * pivot[k] - row[k] * pivot[j], prev)
+                assert rest == 0
+        prev = pivot[k]
 
-    solutions: list[list[Fraction]] = []
-    for col in range(size, total):
-        x = [Fraction(0)] * size
-        for i in range(size - 1, -1, -1):
-            acc = Fraction(a[i][col])
-            for j in range(i + 1, size):
-                acc -= a[i][j] * x[j]
-            x[i] = acc / a[i][i]
-        solutions.append(x)
-    return solutions
+    # det * x is integral (Cramer), so every back-substitution step divides
+    # exactly as well.
+    numerators: list[list[int]] = []
+    for col in range(width, total):
+        x = [0] * width
+        for i in range(width - 1, -1, -1):
+            acc = prev * a[i][col] - sum(a[i][j] * x[j] for j in range(i + 1, width))
+            x[i], rest = divmod(acc, a[i][i])
+            assert rest == 0
+        numerators.append(x)
+    return prev, numerators
 
 
 def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
@@ -115,37 +116,33 @@ def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
     best_vertex: Optional[tuple[Fraction, ...]] = None
 
     for subset in combinations(range(total_cols), m):
-        others = [j for j in range(total_cols) if j not in subset]
-        # Augmented layout: basis columns | rhs | every nonbasis column.
-        matrix = [
-            [rows[i][j] for j in subset]
-            + [rhs[i]]
-            + [rows[i][j] for j in others]
-            for i in range(m)
-        ]
-        solved = _solve_subset(matrix, m)
+        basis = [[rows[i][j] for j in subset] for i in range(m)]
+        solved = _solve_subset([basis[i] + [rhs[i]] for i in range(m)], m)
         if solved is None:
             continue
-        x_basis = solved[0]
-        if any(v < 0 for v in x_basis):
+        det, (x_basis,) = solved
+        if any(v * det < 0 for v in x_basis):  # sign(x) = sign(X) * sign(det)
             continue
         feasible = True
 
         full = [Fraction(0)] * total_cols
         for pos, j in enumerate(subset):
-            full[j] = x_basis[pos]
+            full[j] = Fraction(x_basis[pos], det)
         vertex = tuple(full[:p])
         vertices.add(vertex)
         value = sum((sp.c[j] * full[j] for j in range(p)), Fraction(0))
         if best is None or value > best or (value == best and vertex < best_vertex):
             best, best_vertex = value, vertex
 
-        for pos, j in enumerate(others, start=1):
-            y = solved[pos]  # basis response to raising column j
-            if all(v <= 0 for v in y):
-                reduced = c_ext[j] - sum(
-                    (c_ext[subset[k]] * y[k] for k in range(m)), Fraction(0)
-                )
+        if unbounded:
+            continue  # the flag never turns false; no edge can change anything
+        others = [j for j in range(total_cols) if j not in subset]
+        det, edges = _solve_subset(
+            [basis[i] + [rows[i][j] for j in others] for i in range(m)], m
+        )
+        for j, y in zip(others, edges):  # basis response to raising column j
+            if all(v * det <= 0 for v in y):
+                reduced = c_ext[j] - sum(c_ext[subset[k]] * y[k] for k in range(m)) / det
                 if reduced > 0:
                     unbounded = True
 

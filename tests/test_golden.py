@@ -4,8 +4,9 @@
 process, so a change that alters the bytes the same way every time passes
 it.  These digests were computed once and are compared on every run, so
 any change to the solver's decisions, values or serialization shows here.
-Each digest covers `emit_outcome_json` (or `emit_report_json`) of every
-instance in its group, concatenated in order.
+Each digest covers `emit_outcome_json` (or `emit_report_json`, or
+`emit_oracle_json` of the enumeration oracle) of every instance in its
+group, concatenated in order.
 """
 
 import hashlib
@@ -15,13 +16,14 @@ import pytest
 
 from afsimplex.generate import Shape, generate_lp
 from afsimplex.harness import Method, compare, solve
-from afsimplex.jsonout import emit_outcome_json, emit_report_json
+from afsimplex.jsonout import emit_oracle_json, emit_outcome_json, emit_report_json
 from afsimplex.lpformat import format_lp, parse_lp
 from afsimplex.model import standardize
 from afsimplex.numeric import EXACT, FloatMode
+from afsimplex.oracle import enumerate_vertices
 from afsimplex.trace import SolveConfig
 
-from conftest import CYCLER_TEXT
+from conftest import CYCLER_TEXT, STRIP_TEXT
 
 WALK_LP = (Path(__file__).resolve().parent.parent / "demos" / "walk.lp").read_text()
 
@@ -64,7 +66,19 @@ def compare_digest(texts, mode_name: str) -> str:
     return h.hexdigest()
 
 
-GROUPS = {"walk": lambda: [WALK_LP], "cycler": lambda: [CYCLER_TEXT], "sweep": sweep_texts}
+def oracle_digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(emit_oracle_json(enumerate_vertices(standardize(parse_lp(text)))).encode())
+    return h.hexdigest()
+
+
+GROUPS = {
+    "walk": lambda: [WALK_LP],
+    "strip": lambda: [STRIP_TEXT],
+    "cycler": lambda: [CYCLER_TEXT],
+    "sweep": sweep_texts,
+}
 
 SOLVE_GOLDEN = {
     ("walk", "exact", "af"): "47d70fb4980c5b198276c71d824df00ddca7650bbe28018142103bbc6bafb3bd",
@@ -92,6 +106,13 @@ COMPARE_GOLDEN = {
     "float": "1ed695aa12309bdedc0385a605d1cd9272b961f2a4f98e7700c9394a861255d3",
 }
 
+ORACLE_GOLDEN = {
+    "walk": "728e48fa46645d07f4572ba4f83c92cb3d855380a6877d0aa2e51ac836174570",
+    "strip": "3c86bc86b3c8d11ff4944485c34e61617a444146031eab456c86a4e15b54d733",
+    "cycler": "451fbcb2603016d68df1322b3219b49d811ca9f29e00ceef0ba3853fc68e3641",
+    "sweep": "465a60c72a8331d989a63ae3dbe4c28a9677838dd064e21f7a1e1d6ba45afe40",
+}
+
 
 @pytest.mark.parametrize("group, mode_name, run", sorted(SOLVE_GOLDEN))
 def test_solve_json_bytes_match_golden(group, mode_name, run):
@@ -102,3 +123,8 @@ def test_solve_json_bytes_match_golden(group, mode_name, run):
 @pytest.mark.parametrize("mode_name", sorted(COMPARE_GOLDEN))
 def test_compare_json_bytes_match_golden(mode_name):
     assert compare_digest(sweep_texts(), mode_name) == COMPARE_GOLDEN[mode_name]
+
+
+@pytest.mark.parametrize("group", sorted(ORACLE_GOLDEN))
+def test_oracle_json_bytes_match_golden(group):
+    assert oracle_digest(GROUPS[group]()) == ORACLE_GOLDEN[group]

@@ -1,12 +1,19 @@
 """Brute-force enumeration oracle: vertices, bounds, and guards."""
 
+from fractions import Fraction
 from fractions import Fraction as F
+from itertools import combinations
+from math import comb, lcm
+from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import afsimplex as af
-from afsimplex.numeric import FloatMode
-from afsimplex.oracle import TooLarge, enumerate_vertices
+from afsimplex.model import Constraint, GeneralProblem, Relation, Sense, StandardProblem
+from afsimplex.numeric import ExactMode, FloatMode
+from afsimplex.oracle import OracleResult, TooLarge, enumerate_vertices
 
 from conftest import problem_from
 
@@ -86,3 +93,171 @@ def test_ties_resolved_to_lexicographically_smallest_vertex():
     result = enumerate_vertices(sp)
     assert result.optimal_value == F(1)
     assert result.optimal_vertex == (F(0), F(1))
+
+
+# The oracle as it stood before its elimination became fraction-free and
+# feasibility-first, kept verbatim (renamed) as the reference that the
+# property test below holds the shipped oracle to.
+
+
+def _reference_integer_rows(sp: StandardProblem) -> tuple[list[list[int]], list[int]]:
+    """Row-scale [A | I] and b to integers (scaling keeps the x-geometry)."""
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for i in range(sp.m):
+        values = [Fraction(x) for x in sp.A[i]] + [Fraction(sp.b[i])]
+        scale = lcm(*(v.denominator for v in values))
+        row = [int(v * scale) for v in values[:-1]]
+        slack_part = [scale if k == i else 0 for k in range(sp.m)]
+        rows.append(row + slack_part)
+        rhs.append(int(values[-1] * scale))
+    return rows, rhs
+
+
+def _reference_solve_subset(
+    matrix: list[list[int]], width: int
+) -> Optional[list[list[Fraction]]]:
+    """Gaussian elimination on an integer matrix whose first `width`
+    columns must be invertible; returns solutions for every augmented
+    column, or None when singular.  Fraction-free (Bareiss) forward pass,
+    exact back-substitution."""
+    a = [row[:] for row in matrix]
+    size = width
+    total = len(a[0])
+    sign = 1
+    prev = 1
+    for k in range(size):
+        pivot_row = next(
+            (i for i in range(k, size) if a[i][k] != 0),
+            None,
+        )
+        if pivot_row is None:
+            return None
+        if pivot_row != k:
+            a[k], a[pivot_row] = a[pivot_row], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, total):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+
+    solutions: list[list[Fraction]] = []
+    for col in range(size, total):
+        x = [Fraction(0)] * size
+        for i in range(size - 1, -1, -1):
+            acc = Fraction(a[i][col])
+            for j in range(i + 1, size):
+                acc -= a[i][j] * x[j]
+            x[i] = acc / a[i][i]
+        solutions.append(x)
+    return solutions
+
+
+def reference_enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
+    """Enumerate all basic solutions of the slack-augmented system.
+
+    Raises TooLarge when C(m+p, m) exceeds `guard`.  Exact mode only:
+    the whole point of the oracle is bit-for-bit comparability.
+    """
+    if not isinstance(sp.mode, ExactMode):
+        raise ValueError("the enumeration oracle runs in exact mode only")
+    m, p = sp.m, sp.p
+    total_cols = m + p
+    if comb(total_cols, m) > guard:
+        raise TooLarge(
+            f"C({total_cols}, {m}) = {comb(total_cols, m)} bases exceeds guard {guard}"
+        )
+
+    rows, rhs = _reference_integer_rows(sp)
+    c_ext = [Fraction(x) for x in sp.c] + [Fraction(0)] * m
+
+    feasible = False
+    unbounded = False
+    vertices: set[tuple[Fraction, ...]] = set()
+    best: Optional[Fraction] = None
+    best_vertex: Optional[tuple[Fraction, ...]] = None
+
+    for subset in combinations(range(total_cols), m):
+        others = [j for j in range(total_cols) if j not in subset]
+        # Augmented layout: basis columns | rhs | every nonbasis column.
+        matrix = [
+            [rows[i][j] for j in subset]
+            + [rhs[i]]
+            + [rows[i][j] for j in others]
+            for i in range(m)
+        ]
+        solved = _reference_solve_subset(matrix, m)
+        if solved is None:
+            continue
+        x_basis = solved[0]
+        if any(v < 0 for v in x_basis):
+            continue
+        feasible = True
+
+        full = [Fraction(0)] * total_cols
+        for pos, j in enumerate(subset):
+            full[j] = x_basis[pos]
+        vertex = tuple(full[:p])
+        vertices.add(vertex)
+        value = sum((sp.c[j] * full[j] for j in range(p)), Fraction(0))
+        if best is None or value > best or (value == best and vertex < best_vertex):
+            best, best_vertex = value, vertex
+
+        for pos, j in enumerate(others, start=1):
+            y = solved[pos]  # basis response to raising column j
+            if all(v <= 0 for v in y):
+                reduced = c_ext[j] - sum(
+                    (c_ext[subset[k]] * y[k] for k in range(m)), Fraction(0)
+                )
+                if reduced > 0:
+                    unbounded = True
+
+    if unbounded:
+        best, best_vertex = None, None
+    if best is not None and sp.negated_objective:
+        best = -best
+    return OracleResult(
+        feasible=feasible,
+        unbounded=unbounded,
+        optimal_value=best,
+        optimal_vertex=best_vertex,
+        vertices=tuple(sorted(vertices)),
+    )
+
+
+# Small integers or quotients with denominators up to 12, so that
+# `_integer_rows` has rows to rescale; zero is drawn often.
+NUMBERS = st.one_of(
+    st.integers(-4, 4).map(F),
+    st.builds(F, st.integers(-12, 12), st.integers(1, 12)),
+)
+RHS = st.one_of(st.just(F(0)), NUMBERS)  # rhs 0 makes degenerate vertices
+
+
+@st.composite
+def small_problems(draw):
+    """m, p <= 4 after standardization: mixed relations, both senses,
+    degenerate and all-zero rows."""
+    p = draw(st.integers(1, 4))
+    variables = tuple(f"x{j}" for j in range(p))
+    constraints = []
+    rows_left = 4
+    while rows_left and (not constraints or draw(st.booleans())):
+        relation = draw(st.sampled_from(list(Relation)))
+        if relation is Relation.EQ and rows_left < 2:
+            relation = Relation.LE
+        rows_left -= 2 if relation is Relation.EQ else 1
+        zero_row = draw(st.integers(0, 4)) == 0
+        coeffs = {v: F(0) if zero_row else draw(NUMBERS) for v in variables}
+        constraints.append(Constraint(f"c{len(constraints)}", coeffs, relation, draw(RHS)))
+    objective = {v: draw(NUMBERS) for v in variables}
+    sense = draw(st.sampled_from(list(Sense)))
+    return af.standardize(GeneralProblem(sense, objective, tuple(constraints), variables))
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_problems())
+def test_oracle_matches_reference_enumeration(sp):
+    assert sp.m <= 4 and sp.p <= 4
+    assert enumerate_vertices(sp) == reference_enumerate_vertices(sp)
