@@ -2,7 +2,8 @@
 
 Exit codes: 0 optimal, 1 infeasible, 2 unbounded, 3 stopped by a
 safeguard (cycle detection or the iteration budget), 64 usage errors
-(including unreadable files), 65 malformed LP input.
+(including unreadable input and unwritable output files), 65 malformed
+LP input (including input that is not UTF-8).
 """
 
 from __future__ import annotations
@@ -13,12 +14,7 @@ from typing import Optional
 
 from .generate import Shape, generate_lp
 from .harness import Method, compare, solve
-from .jsonout import (
-    emit_oracle_json,
-    emit_outcome_json,
-    emit_report_json,
-    write_json,
-)
+from .jsonout import emit_oracle_json, emit_outcome_json, emit_report_json
 from .lpformat import ParseError, format_lp, parse_lp
 from .model import EmptyProblem, StandardProblem, UnsupportedFreeVariable, standardize
 from .numeric import EXACT, FloatMode, NumericMode
@@ -34,6 +30,10 @@ EX_DATA = 65
 
 
 class _UsageError(Exception):
+    pass
+
+
+class _DataError(Exception):
     pass
 
 
@@ -150,7 +150,17 @@ def _read_problem(path: str, mode: NumericMode) -> StandardProblem:
             text = fh.read()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _DataError(f"{path}: not UTF-8 text at byte offset {exc.start}") from exc
     return standardize(parse_lp(text, mode))
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _status_code(status: Status) -> int:
@@ -168,7 +178,7 @@ def _cmd_solve(args) -> int:
     outcome = solve(sp, Method(args.method), _make_config(args))
     text = emit_outcome_json(outcome)
     if args.trace:
-        write_json(args.trace, text)
+        _write_file(args.trace, text)
     if not args.quiet:
         sys.stdout.write(text)
     return _status_code(outcome.status)
@@ -179,7 +189,7 @@ def _cmd_compare(args) -> int:
     report = compare(sp, _make_config(args))
     text = emit_report_json(report)
     if args.report:
-        write_json(args.report, text)
+        _write_file(args.report, text)
     if not args.quiet:
         sys.stdout.write(text)
     return _status_code(report.verdict)
@@ -201,8 +211,7 @@ def _cmd_gen(args) -> int:
         raise _UsageError(f"{bounds}: {exc}") from exc
     text = format_lp(gp)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write_file(args.out, text)
     else:
         sys.stdout.write(text)
     return EX_OK
@@ -238,7 +247,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"afsimplex: {exc}", file=sys.stderr)
         return EX_USAGE
-    except (ParseError, EmptyProblem, UnsupportedFreeVariable) as exc:
+    except (_DataError, ParseError, EmptyProblem, UnsupportedFreeVariable) as exc:
         print(f"afsimplex: {exc}", file=sys.stderr)
         return EX_DATA
 

@@ -3,13 +3,18 @@
 Every number is emitted as an exact {"num": ..., "den": ...} pair so that
 output bytes are stable across runs and platforms.  Float-mode values are
 converted through their exact binary expansion.
+
+The text is written here, not by `json.dumps`: two-space indent, `",\n"`
+between items, `": "` after keys, keys in build order, ASCII-only string
+escapes and one trailing newline.  These are the bytes that
+`json.dumps(payload, indent=2) + "\n"` gives, with every `(num, den)`
+tuple written as a two-item array.
 """
 
 from __future__ import annotations
 
-import json
 import sys
-from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from .harness import ComparisonReport, SolveOutcome
@@ -19,12 +24,12 @@ from .trace import Trace
 
 
 def _rational(x: Value) -> dict[str, int]:
-    frac = Fraction(x) if not isinstance(x, Fraction) else x
-    return {"num": frac.numerator, "den": frac.denominator}
+    num, den = x.as_integer_ratio()
+    return {"num": num, "den": den}
 
 
-def _corner(values) -> list[list[int]]:
-    return [[f.numerator, f.denominator] for f in (Fraction(v) for v in values)]
+def _corner(values) -> list[tuple[int, int]]:
+    return [v.as_integer_ratio() for v in values]
 
 
 def _trace_dict(trace: Trace) -> dict[str, Any]:
@@ -51,14 +56,45 @@ def _trace_dict(trace: Trace) -> dict[str, Any]:
     }
 
 
-def _dump(payload: dict[str, Any]) -> str:
+def _encode(obj: Any, indent: str) -> str:
+    """`obj` as indent-2 JSON whose closing bracket sits at `indent`."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, tuple):
+        num, den = obj
+        return f"[\n{inner}{num},\n{inner}{den}\n{indent}]"
+    if isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = ",\n".join([inner + _encode(v, inner) for v in obj])
+        return f"[\n{items}\n{indent}]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = ",\n".join(
+            [f"{inner}{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in obj.items()]
+        )
+        return f"{{\n{items}\n{indent}}}"
+    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
+def _dump(payload: Any) -> str:
     # An exact value may have more digits than Python's int-to-string limit
     # allows; the limit is lifted for this call only.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(payload, indent=2, sort_keys=False) + "\n"
+        return _encode(payload, "") + "\n"
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -129,8 +165,3 @@ def oracle_to_dict(result: OracleResult) -> dict[str, Any]:
 
 def emit_oracle_json(result: OracleResult) -> str:
     return _dump(oracle_to_dict(result))
-
-
-def write_json(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)

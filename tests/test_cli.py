@@ -92,6 +92,40 @@ def test_solve_missing_file_is_usage_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "{lp}", "--trace", "{out}"],
+        ["compare", "{lp}", "--report", "{out}"],
+        ["gen", "--seed", "1", "--rows", "2", "--cols", "2", "--out", "{out}"],
+    ],
+    ids=["solve", "compare", "gen"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_usage_error(lp_file, tmp_path, capsys, command, where):
+    out = tmp_path / "absent" / "out.json" if where == "missing-directory" else tmp_path
+    argv = [arg.format(lp=lp_file(BOX_TEXT), out=out) for arg in command]
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"afsimplex: cannot write {out}: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "data, offset",
+    [(b"\xff\xfe", 0), (b"max: x1;\nc1: x1 <= 1;\n# caf\xc3\xa9 \xe9\n", 30)],
+)
+def test_input_that_is_not_utf8_is_data_error(tmp_path, capsys, data, offset):
+    path = tmp_path / "latin1.lp"
+    path.write_bytes(data)
+    for command in ("solve", "compare", "oracle"):
+        assert main([command, str(path)]) == 65
+        captured = capsys.readouterr()
+        assert captured.err == f"afsimplex: {path}: not UTF-8 text at byte offset {offset}\n"
+        assert captured.out == ""
+
+
 def test_solve_parse_error_is_data_error(lp_file, capsys):
     assert main(["solve", lp_file("max x;\n")]) == 65
     assert "line 1" in capsys.readouterr().err

@@ -73,11 +73,17 @@ def oracle_digest(texts) -> str:
     return h.hexdigest()
 
 
+def ladder_texts() -> list[str]:
+    """Answers with long float expansions: 30x30, one instance per shape."""
+    return [format_lp(generate_lp(1, 30, 30, shape=shape)) for shape in SWEEP_SHAPES]
+
+
 GROUPS = {
     "walk": lambda: [WALK_LP],
     "strip": lambda: [STRIP_TEXT],
     "cycler": lambda: [CYCLER_TEXT],
     "sweep": sweep_texts,
+    "ladder": ladder_texts,
 }
 
 SOLVE_GOLDEN = {
@@ -99,6 +105,8 @@ SOLVE_GOLDEN = {
     ("sweep", "float", "af"): "483bddd8ca3759ea1ecd73816e2800ecdb9678e7fff9fc3b3ce54041f80a4bbc",
     ("sweep", "float", "trad"): "c0331aaf32f5d0938ca161d5437cf55074a26ca4dfaa0f8d68827e9b97c4a102",
     ("sweep", "float", "trick"): "5097207f5a5444be410a20a2ca2c79c091d605a8ec5c945b7fa28a1d2184c5de",
+    ("ladder", "float", "af"): "98f6b99902a32c36a20d7754a89bc93e0da75a2be9222b9e3a642f40a57d7faa",
+    ("ladder", "float", "trad"): "1de7f7c6460b6903ddf1187b5e6ddd4db6b578cbeb823fb4c99af608fe20ca42",
 }
 
 COMPARE_GOLDEN = {
