@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import count
 from typing import NamedTuple, Optional
 
 from .model import Constraint, EmptyProblem, GeneralProblem, Relation, Sense
@@ -170,11 +171,14 @@ class _Parser:
         objective = self._linexpr()
         self._take("symbol", ";")
 
-        constraints: list[Constraint] = []
-        auto = 0
+        # Unnamed rows are named once every row is read: each takes the next
+        # "c<k>" that no row names explicitly.
+        rows: list[tuple[Optional[str], dict[str, Value], Relation, Value]] = []
+        named: set[str] = set()
         while self._peek() is not None:
             tok = self._peek()
             nxt = self._peek(1)
+            name = None
             if (
                 tok.kind == "ident"
                 and nxt is not None
@@ -182,10 +186,12 @@ class _Parser:
                 and nxt.text == ":"
             ):
                 name = tok.text
+                if name in named:
+                    raise ParseError(
+                        f"constraint name {name!r} is used twice", tok.line, tok.column
+                    )
+                named.add(name)
                 self.pos += 2
-            else:
-                auto += 1
-                name = f"c{auto}"
             coeffs = self._linexpr()
             rel_tok = self._peek()
             if rel_tok is None or rel_tok.kind != "symbol" or rel_tok.text not in ("<=", ">=", "="):
@@ -194,19 +200,20 @@ class _Parser:
             relation = Relation(rel_tok.text)
             rhs = self._rhs()
             self._take("symbol", ";")
-            constraints.append(Constraint(name, coeffs, relation, rhs))
+            rows.append((name, coeffs, relation, rhs))
 
-        if not constraints:
+        if not rows:
             raise EmptyProblem("a problem needs at least one constraint")
-        try:
-            return GeneralProblem(
-                sense=sense,
-                objective=objective,
-                constraints=tuple(constraints),
-                mode=self.mode,
-            )
-        except ValueError as exc:
-            raise ParseError(str(exc), head.line, head.column) from exc
+        auto = (f"c{k}" for k in count(1) if f"c{k}" not in named)
+        return GeneralProblem(
+            sense=sense,
+            objective=objective,
+            constraints=tuple(
+                Constraint(name or next(auto), coeffs, relation, rhs)
+                for name, coeffs, relation, rhs in rows
+            ),
+            mode=self.mode,
+        )
 
 
 def parse_lp(text: str, mode: NumericMode = EXACT) -> GeneralProblem:

@@ -4,20 +4,22 @@ Deliberately shares no code path with the simplex machinery: it imports
 only the standard library, `.model` and `.numeric`.  The constraint
 system A x <= b, x >= 0 is rewritten as [A | I] y = b with y >= 0 and
 row-scaled to integers; every m-subset of columns is a candidate basis B.
-Feasibility comes first.  One fraction-free elimination of [B | b] gives
-x_B as integer numerators over det, and the subset is dropped when B is
-singular or x_B has a negative entry, as most are.  Only at a feasible
-basis are the nonbasic columns solved as well, to test every edge
-direction for a feasible, objective-improving ray until one is found.
-Fractions are built only for vertex coordinates and for the reduced cost
-of a candidate ray.
+The subsets are walked depth first over basis prefixes, in increasing
+column order, with an explicit stack.  Each step adds one column by one
+integer-preserving Gauss-Jordan step on [A | I | b] (Edmonds/Bareiss), so
+a prefix is eliminated once for all of its extensions, and a column with
+no nonzero entry in any unpivoted row prunes every superset.  At the last
+column the right-hand side alone decides feasibility, before any row is
+built; most bases fail there.  At a feasible basis every nonbasic column
+is already reduced, and each is tested as an edge direction for a
+feasible, objective-improving ray until one is found.  Fractions are
+built only for vertex coordinates and the objective value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb, lcm
 from typing import Optional
 
@@ -41,54 +43,35 @@ class OracleResult:
     vertices: tuple[tuple[Fraction, ...], ...]  # distinct, sorted
 
 
-def _integer_rows(sp: StandardProblem) -> tuple[list[list[int]], list[int]]:
-    """Row-scale [A | I] and b to integers (scaling keeps the x-geometry)."""
+def _integer_rows(sp: StandardProblem) -> list[list[int]]:
+    """Row-scale [A | I | b] to integers (scaling keeps the x-geometry)."""
     rows: list[list[int]] = []
-    rhs: list[int] = []
     for i in range(sp.m):
         values = [Fraction(x) for x in sp.A[i]] + [Fraction(sp.b[i])]
         scale = lcm(*(v.denominator for v in values))
-        row = [int(v * scale) for v in values[:-1]]
+        *coeffs, rhs = (int(v * scale) for v in values)
         slack_part = [scale if k == i else 0 for k in range(sp.m)]
-        rows.append(row + slack_part)
-        rhs.append(int(values[-1] * scale))
-    return rows, rhs
+        rows.append(coeffs + slack_part + [rhs])
+    return rows
 
 
-def _solve_subset(
-    matrix: list[list[int]], width: int
-) -> Optional[tuple[int, list[list[int]]]]:
-    """Solve an integer system whose first `width` columns must be
-    invertible, fraction-free (Bareiss) throughout.  Returns (det, X) with
-    one list of integer numerators per augmented column, so x = X / det
-    exactly, or None when singular; det is the last Bareiss pivot, the
-    determinant of the row-permuted system."""
-    a = [row[:] for row in matrix]
-    total = len(a[0])
-    prev = 1
-    for k in range(width):
-        pivot_row = next((i for i in range(k, width) if a[i][k] != 0), None)
-        if pivot_row is None:
-            return None
-        a[k], a[pivot_row] = a[pivot_row], a[k]
-        pivot = a[k]
-        for row in a[k + 1:]:  # entries left of k + 1 are never read again
-            for j in range(k + 1, total):
-                row[j], rest = divmod(row[j] * pivot[k] - row[k] * pivot[j], prev)
-                assert rest == 0
-        prev = pivot[k]
-
-    # det * x is integral (Cramer), so every back-substitution step divides
-    # exactly as well.
-    numerators: list[list[int]] = []
-    for col in range(width, total):
-        x = [0] * width
-        for i in range(width - 1, -1, -1):
-            acc = prev * a[i][col] - sum(a[i][j] * x[j] for j in range(i + 1, width))
-            x[i], rest = divmod(acc, a[i][i])
-            assert rest == 0
-        numerators.append(x)
-    return prev, numerators
+def _pivot(a: list[list[int]], r: int, j: int, prev: int) -> list[list[int]]:
+    """One integer-preserving Gauss-Jordan step on row r, column j: every
+    other row becomes (x*p - f*y) / prev, which divides exactly because
+    each entry is a minor of the starting matrix (Sylvester's identity).
+    The pivot row is shared, not copied; no row is ever mutated."""
+    pivot_row = a[r]
+    p = pivot_row[j]
+    out = []
+    for i, row in enumerate(a):
+        f = row[j]
+        if i == r or (f == 0 and p == prev):
+            out.append(row)
+        elif f == 0:
+            out.append([x * p // prev for x in row])
+        else:
+            out.append([(x * p - f * y) // prev for x, y in zip(row, pivot_row)])
+    return out
 
 
 def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
@@ -99,52 +82,68 @@ def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
     """
     if not isinstance(sp.mode, ExactMode):
         raise ValueError("the enumeration oracle runs in exact mode only")
-    m, p = sp.m, sp.p
-    total_cols = m + p
+    m = sp.m
+    total_cols = m + sp.p
     if comb(total_cols, m) > guard:
         raise TooLarge(
             f"C({total_cols}, {m}) = {comb(total_cols, m)} bases exceeds guard {guard}"
         )
 
-    rows, rhs = _integer_rows(sp)
-    c_ext = [Fraction(x) for x in sp.c] + [Fraction(0)] * m
+    c_den = lcm(*(Fraction(x).denominator for x in sp.c))
+    c = [int(Fraction(x) * c_den) for x in sp.c] + [0] * m  # c_den * c, slacks 0
 
-    feasible = False
-    unbounded = False
+    feasible = unbounded = False
     vertices: set[tuple[Fraction, ...]] = set()
     best: Optional[Fraction] = None
     best_vertex: Optional[tuple[Fraction, ...]] = None
 
-    for subset in combinations(range(total_cols), m):
-        basis = [[rows[i][j] for j in subset] for i in range(m)]
-        solved = _solve_subset([basis[i] + [rhs[i]] for i in range(m)], m)
-        if solved is None:
+    # A frame is a basis prefix: its columns, the row each one pivoted on,
+    # the matrix after those steps and the last pivot.  Children are pushed
+    # in decreasing column order, so bases are visited in increasing order.
+    stack = [((), (), _integer_rows(sp), 1)]
+    while stack:
+        cols, pivots, a, prev = stack.pop()
+        free = [i for i in range(m) if i not in pivots]
+        first = cols[-1] + 1 if cols else 0
+        if len(free) > 1:
+            for j in range(total_cols - len(free), first - 1, -1):
+                # No nonzero entry in a free row: every basis holding this
+                # prefix and j is singular.
+                r = next((i for i in free if a[i][j]), None)
+                if r is not None:
+                    stack.append((cols + (j,), pivots + (r,), _pivot(a, r, j, prev), a[r][j]))
             continue
-        det, (x_basis,) = solved
-        if any(v * det < 0 for v in x_basis):  # sign(x) = sign(X) * sign(det)
-            continue
-        feasible = True
 
-        full = [Fraction(0)] * total_cols
-        for pos, j in enumerate(subset):
-            full[j] = Fraction(x_basis[pos], det)
-        vertex = tuple(full[:p])
-        vertices.add(vertex)
-        value = sum((sp.c[j] * full[j] for j in range(p)), Fraction(0))
-        if best is None or value > best or (value == best and vertex < best_vertex):
-            best, best_vertex = value, vertex
-
-        if unbounded:
-            continue  # the flag never turns false; no edge can change anything
-        others = [j for j in range(total_cols) if j not in subset]
-        det, edges = _solve_subset(
-            [basis[i] + [rows[i][j] for j in others] for i in range(m)], m
-        )
-        for j, y in zip(others, edges):  # basis response to raising column j
-            if all(v * det <= 0 for v in y):
-                reduced = c_ext[j] - sum(c_ext[subset[k]] * y[k] for k in range(m)) / det
-                if reduced > 0:
-                    unbounded = True
+        (r,) = free
+        b_r = a[r][-1]
+        for j in range(first, total_cols):
+            # The last step leaves x_r = b_r / p and every other
+            # x_i = (b_i*p - f_i*b_r) / (prev*p), so the signs of the
+            # right-hand side decide feasibility before any row is built.
+            p = a[r][j]
+            if p == 0 or b_r * p < 0:
+                continue
+            sign = p * prev
+            if any((row[-1] * p - row[j] * b_r) * sign < 0 for row in a):
+                continue
+            feasible = True
+            det, done = p, _pivot(a, r, j, prev)
+            basis = dict(zip(cols + (j,), pivots + (r,)))  # basic column -> its row
+            x = {k: done[i][-1] for k, i in basis.items()}  # det * x_B
+            vertex = tuple(Fraction(x.get(k, 0), det) for k in range(sp.p))
+            vertices.add(vertex)
+            value = Fraction(sum(c[k] * v for k, v in x.items()), c_den * det)
+            if best is None or value > best or (value == best and vertex < best_vertex):
+                best, best_vertex = value, vertex
+            # Nonbasic column k holds det * (the basis response to raising
+            # x_k), and its reduced cost is (c_k*det - gain) / (c_den*det).
+            # The flag never turns false, so once set no edge is tested.
+            unbounded = unbounded or any(
+                all(row[k] * det <= 0 for row in done)
+                and (c[k] * det - sum(c[b] * done[i][k] for b, i in basis.items())) * det > 0
+                for k in range(total_cols)
+                if k not in basis
+            )
 
     if unbounded:
         best, best_vertex = None, None

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import afsimplex as af
@@ -28,6 +31,16 @@ r1: 1/4 x1 - 60 x2 - 1/25 x3 + 9 x4 <= 0;
 r2: 1/2 x1 - 90 x2 - 1/50 x3 + 3 x4 <= 0;
 r3: x3 <= 1;
 """
+
+
+@pytest.fixture(scope="session", autouse=True)
+def package_path_for_child_processes():
+    """Child processes that run `python -m afsimplex.cli` import the package
+    the tests import, also when pytest found it through its `pythonpath`."""
+    paths = [str(Path(af.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", os.pathsep.join(filter(None, paths)))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -131,6 +131,17 @@ def test_solve_parse_error_is_data_error(lp_file, capsys):
     assert "line 1" in capsys.readouterr().err
 
 
+def test_unnamed_row_beside_a_row_named_c1_solves(lp_file, capsys):
+    assert main(["solve", lp_file("max: x1 + x2; c1: x1 <= 4; x2 <= 3;\n")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["objective"] == {"num": 7, "den": 1}
+
+
+def test_duplicate_constraint_name_is_data_error(lp_file, capsys):
+    assert main(["solve", lp_file("max: x1;\nc1: x1 <= 4;\nc1: x1 <= 3;\n")]) == 65
+    assert "line 3, column 1" in capsys.readouterr().err
+
+
 def test_solve_constraintless_file_is_data_error(lp_file, capsys):
     assert main(["solve", lp_file("max: x;\n")]) == 65
     assert "constraint" in capsys.readouterr().err

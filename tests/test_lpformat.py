@@ -61,6 +61,25 @@ def test_unnamed_constraints_are_numbered():
     assert [c.name for c in gp.constraints] == ["c1", "y", "c2"]
 
 
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("max: x1 + x2; c1: x1 <= 4; x2 <= 3;", ["c1", "c2"]),
+        ("max: x1 + x2; x1 <= 4; c1: x2 <= 3;", ["c2", "c1"]),
+        ("max: x; c2: x <= 1; x <= 2; c1: x <= 3; x <= 4;", ["c2", "c3", "c1", "c4"]),
+    ],
+    ids=["named-first", "unnamed-first", "skips-every-taken-name"],
+)
+def test_unnamed_constraints_skip_names_taken_explicitly(text, names):
+    assert [c.name for c in parse_lp(text).constraints] == names
+
+
+def test_duplicate_name_is_reported_at_its_second_use():
+    with pytest.raises(ParseError, match="'c1' is used twice") as info:
+        parse_lp("max: x;\nc1: x <= 1;\n  c1: x <= 2;\n")
+    assert (info.value.line, info.value.column) == (3, 3)
+
+
 def test_signed_rhs():
     gp = parse_lp("max: x; c: -x <= -2;")
     assert gp.constraints[0].rhs == F(-2)

@@ -1,5 +1,8 @@
 """Brute-force enumeration oracle: vertices, bounds, and guards."""
 
+import inspect
+import random
+import sys
 from fractions import Fraction
 from fractions import Fraction as F
 from itertools import combinations
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afsimplex as af
+from afsimplex.generate import Shape, generate_lp
 from afsimplex.model import Constraint, GeneralProblem, Relation, Sense, StandardProblem
 from afsimplex.numeric import ExactMode, FloatMode
 from afsimplex.oracle import OracleResult, TooLarge, enumerate_vertices
@@ -260,4 +264,80 @@ def small_problems(draw):
 @given(small_problems())
 def test_oracle_matches_reference_enumeration(sp):
     assert sp.m <= 4 and sp.p <= 4
+    assert enumerate_vertices(sp) == reference_enumerate_vertices(sp)
+
+
+def test_walk_does_not_recurse_once_per_basis_column():
+    # 60 rows x1 <= k: m = 60 basis columns out of 61, which a walk that
+    # recursed per column could not reach under this limit.
+    sp = problem_from("max: x1;\n" + "".join(f"x1 <= {k};\n" for k in range(1, 61)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+    try:
+        result = enumerate_vertices(sp)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.vertices == ((F(0),), (F(1),))
+    assert result.optimal_value == F(1)
+
+
+@pytest.mark.parametrize("shape", list(Shape))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_oracle_matches_reference_on_6x6_generated(seed, shape):
+    sp = af.standardize(generate_lp(seed, 6, 6, shape=shape))
+    assert (sp.m, sp.p) == (6, 6)
+    assert enumerate_vertices(sp) == reference_enumerate_vertices(sp)
+
+
+def _rational_problem(seed: int, m: int, p: int) -> StandardProblem:
+    """Rational coefficients, with a first >= row whose positive x1
+    coefficient standardizes to A[0][0] < 0."""
+    rng = random.Random(f"{seed}:{m}:{p}")
+    variables = tuple(f"x{j}" for j in range(1, p + 1))
+
+    def number(lo: int) -> F:
+        return F(rng.randint(lo, 9), rng.randint(1, 6))
+
+    constraints = [
+        Constraint(
+            f"c{i}",
+            {v: number(1 if i == 0 and j == 0 else -9) for j, v in enumerate(variables)},
+            Relation.GE if i == 0 else rng.choice([Relation.LE, Relation.GE]),
+            number(-9),
+        )
+        for i in range(m)
+    ]
+    objective = {v: number(-9) for v in variables}
+    return af.standardize(GeneralProblem(Sense.MAX, objective, tuple(constraints), variables))
+
+
+@pytest.mark.parametrize("m, p", [(2, 3), (3, 4), (4, 5), (5, 5)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_oracle_matches_reference_after_a_negative_pivot(seed, m, p):
+    # The walk's first step pivots on A[0][0], so every later step divides
+    # by a negative pivot and the feasibility test must keep its sign.
+    sp = _rational_problem(seed, m, p)
+    assert sp.A[0][0] < 0
+    assert enumerate_vertices(sp) == reference_enumerate_vertices(sp)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # x2 repeats x1, x3 is in no row, c3 has no coefficient
+        "max: x1 + x2 - x3;\nc1: x1 + x2 <= 4;\nc2: 2 x1 + 2 x2 >= 1;\nc3: 0 x1 <= 2;\n",
+        # raising the empty column x3 is a ray
+        "max: x1 + x2 + x3;\nc1: x1 + x2 <= 4;\nc2: 2 x1 + 2 x2 >= 1;\nc3: 0 x1 <= 2;\n",
+        # the empty row c3 cannot hold
+        "max: x1 + x2;\nc1: x1 + x2 <= 4;\nc2: 0 x1 >= 1;\n",
+        # x3 = 2 x1 and x4 = -x2 as well as a repeated row
+        "max: x1 - x2 + 2 x3 - x4;\nc1: x1 + x2 + 2 x3 - x4 <= 3;\n"
+        "c2: -x1 + 3 x2 - 2 x3 - 3 x4 >= -5;\nc3: x1 + x2 + 2 x3 - x4 <= 3;\n",
+        # every column is empty
+        "max: x1 - x2;\nc1: 0 x1 + 0 x2 <= 1;\nc2: 0 x2 <= 0;\n",
+    ],
+    ids=["duplicate-and-empty", "empty-column-ray", "empty-row", "multiples", "all-empty"],
+)
+def test_oracle_matches_reference_on_singular_prefixes(text):
+    sp = problem_from(text)
     assert enumerate_vertices(sp) == reference_enumerate_vertices(sp)
