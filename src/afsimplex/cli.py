@@ -3,7 +3,8 @@
 Exit codes: 0 optimal, 1 infeasible, 2 unbounded, 3 stopped by a
 safeguard (cycle detection or the iteration budget), 64 usage errors
 (including unreadable input and unwritable output files), 65 malformed
-LP input (including input that is not UTF-8).
+LP input (including input that is not UTF-8, and float-mode input whose
+answer overflows to a value that is not finite).
 """
 
 from __future__ import annotations
@@ -163,6 +164,14 @@ def _write_file(path: str, text: str) -> None:
         raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _emit(path: str, emit, result) -> str:
+    try:
+        return emit(result)
+    except (OverflowError, ValueError) as exc:
+        # A float that overflowed to inf (or became nan) has no exact ratio.
+        raise _DataError(f"{path}: float arithmetic overflowed ({exc})") from exc
+
+
 def _status_code(status: Status) -> int:
     if status in (Status.OPTIMAL, Status.FEASIBLE):
         return EX_OK
@@ -176,7 +185,7 @@ def _status_code(status: Status) -> int:
 def _cmd_solve(args) -> int:
     sp = _read_problem(args.file, _make_mode(args))
     outcome = solve(sp, Method(args.method), _make_config(args))
-    text = emit_outcome_json(outcome)
+    text = _emit(args.file, emit_outcome_json, outcome)
     if args.trace:
         _write_file(args.trace, text)
     if not args.quiet:
@@ -187,7 +196,7 @@ def _cmd_solve(args) -> int:
 def _cmd_compare(args) -> int:
     sp = _read_problem(args.file, _make_mode(args))
     report = compare(sp, _make_config(args))
-    text = emit_report_json(report)
+    text = _emit(args.file, emit_report_json, report)
     if args.report:
         _write_file(args.report, text)
     if not args.quiet:

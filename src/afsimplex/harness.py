@@ -22,8 +22,12 @@ class Method(Enum):
 
 
 class VerdictMismatch(RuntimeError):
-    """The two phase-1 methods disagreed on feasibility; by construction
-    this can only come from a bug, so compare() refuses to report it."""
+    """The two phase-1 methods finished and disagreed on feasibility; by
+    construction this can only come from a bug, so compare() refuses to
+    report it."""
+
+
+_SAFEGUARDS = (Status.CYCLE_DETECTED, Status.ITERATION_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -137,18 +141,20 @@ def compare(
 
     Feasibility verdicts must agree (VerdictMismatch otherwise); pivot
     counts, degenerate counts and deduplicated corner walks are reported
-    side by side.
+    side by side.  A safeguard stop on either side is the report's
+    verdict, the artificial-free one's if both stopped.
     """
     cfg = config or SolveConfig()
     _, s_af, t_af = run_phase1(initial_dictionary(sp), cfg)
     _, s_tr, t_tr = run_traditional_phase1(build_auxiliary(sp), cfg)
-    if s_af is not s_tr:
+    verdict = s_tr if s_tr in _SAFEGUARDS and s_af not in _SAFEGUARDS else s_af
+    if verdict not in _SAFEGUARDS and s_af is not s_tr:
         raise VerdictMismatch(f"artificial-free says {s_af}, traditional says {s_tr}")
 
     af = MethodSummary(s_af, t_af.pivots, t_af.degenerate_pivots, t_af.deduplicated_corners())
     tr = MethodSummary(s_tr, t_tr.pivots, t_tr.degenerate_pivots, t_tr.deduplicated_corners())
     return ComparisonReport(
-        verdict=s_af,
+        verdict=verdict,
         af=af,
         traditional=tr,
         corners_equal=af.corners == tr.corners,

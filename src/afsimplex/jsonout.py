@@ -33,25 +33,27 @@ def _corner(values) -> list[tuple[int, int]]:
 
 
 def _trace_dict(trace: Trace) -> dict[str, Any]:
-    entries = []
-    for rec in trace.records:
-        entries.append(
-            {
-                "iter": rec.iteration,
-                "entering": rec.entering.name,
-                "leaving": rec.leaving.name,
-                "ratio": _rational(rec.ratio),
-                "degenerate": rec.degenerate,
-                "infeasibility_sum": _rational(rec.infeasibility_after),
-                "corner": _corner(rec.corner),
-            }
-        )
+    # The walk is the starting corner and then each pivot's corner, so one
+    # list of pairs per corner serves both `corners` and its entry.
+    corners = [_corner(c) for c in trace.corners]
+    entries = [
+        {
+            "iter": rec.iteration,
+            "entering": rec.entering.name,
+            "leaving": rec.leaving.name,
+            "ratio": _rational(rec.ratio),
+            "degenerate": rec.degenerate,
+            "infeasibility_sum": _rational(rec.infeasibility_after),
+            "corner": corner,
+        }
+        for rec, corner in zip(trace.records, corners[1:])
+    ]
     return {
         "method": trace.method,
         "status": trace.status.value,
         "pivots": trace.pivots,
         "degenerate_pivots": trace.degenerate_pivots,
-        "corners": [_corner(c) for c in trace.corners],
+        "corners": corners,
         "entries": entries,
     }
 

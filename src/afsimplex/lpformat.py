@@ -33,15 +33,20 @@ class ParseError(ValueError):
         self.column = column
 
 
+def _error_at(text: str, offset: int, message: str) -> ParseError:
+    """The error at character `offset` of `text`; a tab or "\\r" is one column."""
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
+
+
 class _Token(NamedTuple):
-    kind: str  # ident | number | symbol
+    kind: str  # ident | number | symbol | end
     text: str
-    line: int
-    column: int
+    offset: int
 
 
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"[ \t\r\n]+|#[^\n]*"
     r"|(?P<number>\d+\.?\d*|\.\d+)"
     r"|(?P<ident>[^\W\d]\w*)"
     r"|(?P<symbol><=|>=|[=:;+*/-])"
@@ -50,123 +55,99 @@ _TOKEN = re.compile(
 
 
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of `text`, then an end token just past the last of them."""
     tokens: list[_Token] = []
-    line, line_start = 1, 0
     for match in _TOKEN.finditer(text):
-        kind, word = match.lastgroup, match.group()
-        if kind == "newline":
-            line, line_start = line + 1, match.end()
-        elif kind is not None:
-            column = match.start() - line_start + 1
-            if kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
-                kind = "bad"  # \w holds numerals such as "²" that start no name
-            if kind == "bad":
-                raise ParseError(f"unexpected character {word[0]!r}", line, column)
-            tokens.append(_Token(kind, word, line, column))
+        kind = match.lastgroup
+        if kind is None:
+            continue
+        word = match.group()
+        # \w holds numerals such as "²" that start no name
+        if kind == "bad" or (kind == "ident" and not (word[0].isalpha() or word[0] == "_")):
+            raise _error_at(text, match.start(), f"unexpected character {word[0]!r}")
+        tokens.append(_Token(kind, word, match.start()))
+    end = tokens[-1].offset + len(tokens[-1].text) if tokens else 0
+    tokens.append(_Token("end", "", end))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], mode: NumericMode):
-        self.tokens = tokens
+    def __init__(self, text: str, mode: NumericMode):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.mode = mode
 
-    def _peek(self, offset: int = 0) -> Optional[_Token]:
-        index = self.pos + offset
-        return self.tokens[index] if index < len(self.tokens) else None
-
-    def _fail(self, message: str) -> ParseError:
-        tok = self._peek()
+    def _fail(self, message: str, tok: Optional[_Token] = None) -> ParseError:
+        """The error at `tok`, or else at the next token, which it names."""
         if tok is None:
-            last = self.tokens[-1] if self.tokens else None
-            line = last.line if last else 1
-            col = last.column + len(last.text) if last else 1
-            return ParseError(message + " (at end of input)", line, col)
-        return ParseError(message + f", found {tok.text!r}", tok.line, tok.column)
+            tok = self.tokens[self.pos]
+            message += " (at end of input)" if tok.kind == "end" else f", found {tok.text!r}"
+        return _error_at(self.text, tok.offset, message)
 
     def _take(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self._peek()
-        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise self._fail(f"expected {want!r}")
+        tok = self.tokens[self.pos]
+        if tok.kind != kind or (text is not None and tok.text != text):
+            raise self._fail(f"expected {kind if text is None else text!r}")
         self.pos += 1
         return tok
 
-    def _at_symbol(self, text: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.kind == "symbol" and tok.text == text
+    def _sign(self) -> int:
+        """Take an optional "+" or "-": -1 for "-", else 1."""
+        text = self.tokens[self.pos].text
+        if text != "+" and text != "-":
+            return 1
+        self.pos += 1
+        return -1 if text == "-" else 1
 
-    def _number(self) -> Value:
+    def _number(self, sign: int) -> Value:
         tok = self._take("number")
-        if self._at_symbol("/"):
-            nxt = self._peek(1)
-            if nxt is not None and nxt.kind == "number":
-                self.pos += 1
-                denom = self._take("number")
-                if "." in tok.text or "." in denom.text:
-                    raise ParseError(
-                        "quotient parts must be integers", tok.line, tok.column
-                    )
-                if denom.text.strip("0") == "":
-                    raise ParseError("zero denominator", denom.line, denom.column)
-                return self._coerce(f"{tok.text}/{denom.text}", tok)
-        return self._coerce(tok.text, tok)
-
-    def _coerce(self, text: str, tok: _Token) -> Value:
+        text = tok.text
+        if self.tokens[self.pos].text == "/" and self.tokens[self.pos + 1].kind == "number":
+            denom = self.tokens[self.pos + 1]
+            self.pos += 2
+            if "." in text or "." in denom.text:
+                raise self._fail("quotient parts must be integers", tok)
+            if denom.text.strip("0") == "":
+                raise self._fail("zero denominator", denom)
+            text = f"{text}/{denom.text}"
         # Python refuses to convert integers of more than 4300 digits, and a
         # float cannot hold a number past about 1.8e308.
         try:
-            return self.mode.coerce(text)
+            value = self.mode.coerce(text)
         except (ValueError, OverflowError) as exc:
-            raise ParseError(f"cannot read number: {exc}", tok.line, tok.column) from exc
+            raise self._fail(f"cannot read number: {exc}", tok) from exc
+        return value if sign > 0 else -value
 
     def _linexpr(self) -> dict[str, Value]:
         coeffs: dict[str, Value] = {}
-        sign = 1
-        if self._at_symbol("+") or self._at_symbol("-"):
-            sign = -1 if self._take("symbol").text == "-" else 1
-        self._term(coeffs, sign)
-        while self._at_symbol("+") or self._at_symbol("-"):
-            sign = -1 if self._take("symbol").text == "-" else 1
-            self._term(coeffs, sign)
-        return coeffs
-
-    def _term(self, coeffs: dict[str, Value], sign: int) -> None:
-        tok = self._peek()
-        if tok is None:
-            raise self._fail("expected a term")
-        if tok.kind == "number":
-            value = self._number()
-            if self._at_symbol("*"):
-                self.pos += 1
-            ident = self._take("ident")
-            coeff = value if sign > 0 else -value
-        elif tok.kind == "ident":
-            ident = self._take("ident")
-            coeff = self.mode.coerce(sign)
-        else:
-            raise self._fail("expected a term")
-        name = ident.text
-        coeffs[name] = coeffs.get(name, self.mode.zero) + coeff
-
-    def _rhs(self) -> Value:
-        sign = 1
-        if self._at_symbol("+") or self._at_symbol("-"):
-            sign = -1 if self._take("symbol").text == "-" else 1
-        value = self._number()
-        return value if sign > 0 else -value
+        while True:
+            sign = self._sign()
+            kind = self.tokens[self.pos].kind
+            if kind == "number":
+                coeff = self._number(sign)
+                if self.tokens[self.pos].text == "*":
+                    self.pos += 1
+            elif kind == "ident":
+                coeff = self.mode.coerce(sign)
+            else:
+                raise self._fail("expected a term")
+            name = self._take("ident").text
+            coeffs[name] = coeffs.get(name, self.mode.zero) + coeff
+            if self.tokens[self.pos].text not in ("+", "-"):
+                return coeffs
 
     def parse(self) -> GeneralProblem:
-        head = self._peek()
-        if head is None:
+        tokens = self.tokens
+        head = tokens[0]
+        if head.kind == "end":
             raise ParseError("empty input", 1, 1)
-        if head.kind != "ident" or head.text not in ("max", "min"):
+        if head.text not in ("max", "min"):
             raise self._fail("expected 'max' or 'min'")
-        self.pos += 1
+        self.pos = 1
         sense = Sense.MAX if head.text == "max" else Sense.MIN
         self._take("symbol", ":")
-        if self._at_symbol(";"):
+        if tokens[self.pos].text == ";":
             raise self._fail("empty objective")
         objective = self._linexpr()
         self._take("symbol", ";")
@@ -175,32 +156,23 @@ class _Parser:
         # "c<k>" that no row names explicitly.
         rows: list[tuple[Optional[str], dict[str, Value], Relation, Value]] = []
         named: set[str] = set()
-        while self._peek() is not None:
-            tok = self._peek()
-            nxt = self._peek(1)
+        while tokens[self.pos].kind != "end":
+            tok = tokens[self.pos]
             name = None
-            if (
-                tok.kind == "ident"
-                and nxt is not None
-                and nxt.kind == "symbol"
-                and nxt.text == ":"
-            ):
+            if tok.kind == "ident" and tokens[self.pos + 1].text == ":":
                 name = tok.text
                 if name in named:
-                    raise ParseError(
-                        f"constraint name {name!r} is used twice", tok.line, tok.column
-                    )
+                    raise self._fail(f"constraint name {name!r} is used twice", tok)
                 named.add(name)
                 self.pos += 2
             coeffs = self._linexpr()
-            rel_tok = self._peek()
-            if rel_tok is None or rel_tok.kind != "symbol" or rel_tok.text not in ("<=", ">=", "="):
+            relation = tokens[self.pos].text
+            if relation not in ("<=", ">=", "="):
                 raise self._fail("expected '<=', '>=' or '='")
             self.pos += 1
-            relation = Relation(rel_tok.text)
-            rhs = self._rhs()
+            rhs = self._number(self._sign())
             self._take("symbol", ";")
-            rows.append((name, coeffs, relation, rhs))
+            rows.append((name, coeffs, Relation(relation), rhs))
 
         if not rows:
             raise EmptyProblem("a problem needs at least one constraint")
@@ -218,7 +190,7 @@ class _Parser:
 
 def parse_lp(text: str, mode: NumericMode = EXACT) -> GeneralProblem:
     """Parse LP text into a GeneralProblem (exact rationals by default)."""
-    return _Parser(_tokenize(text), mode).parse()
+    return _Parser(text, mode).parse()
 
 
 def _format_value(x: Value) -> str:

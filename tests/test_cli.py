@@ -167,6 +167,21 @@ def test_compare_walk(lp_file, tmp_path, capsys):
     assert doc["corners_equal"] is True
 
 
+@pytest.mark.parametrize("budget", ["3", "4"])
+def test_compare_under_a_pivot_budget_exits_three(lp_file, tmp_path, capsys, budget):
+    # The artificial-free method is feasible within the budget; the
+    # traditional one is still pivoting when the budget runs out.
+    report_path = tmp_path / "report.json"
+    argv = ["compare", lp_file(WALK_TEXT), "--max-iters", budget, "--report", str(report_path)]
+    assert main(argv) == 3
+    out = capsys.readouterr().out
+    assert report_path.read_text(encoding="utf-8") == out
+    doc = json.loads(out)
+    assert doc["verdict"] == "iteration_limit"
+    assert doc["artificial_free"]["verdict"] == "feasible"
+    assert doc["traditional"]["verdict"] == "iteration_limit"
+
+
 def test_compare_infeasible_exit_one(lp_file, capsys):
     assert main(["compare", lp_file(STRIP_TEXT), "--quiet"]) == 1
     assert capsys.readouterr().out == ""
@@ -288,3 +303,22 @@ def test_solve_emits_values_past_the_int_digit_limit(lp_file, capsys):
     # Input numbers past the limit are still refused.
     assert main(["solve", lp_file(f"max: x1;\nc1: {'1' * 4301} x1 <= 1;\n", "long.lp")]) == 65
     capsys.readouterr()
+
+
+def test_float_overflow_is_data_error(lp_file, tmp_path, capsys):
+    # Float pivots on these 1e300 coefficients overflow to inf, which has no
+    # exact ratio to write; rational mode solves the same file.
+    big = "1" + "0" * 300
+    path = lp_file(
+        f"max: {big} x + {big} y;\n"
+        f"c1: 0.000001 x + y <= {big};\nc2: x + 0.000001 y <= {big};\n"
+    )
+    trace = tmp_path / "trace.json"
+    for extra in ([], ["--quiet"], ["--trace", str(trace)]):
+        assert main(["solve", path, "--numeric", "float", *extra]) == 65
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"afsimplex: {path}: float arithmetic overflowed")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+    assert not trace.exists()
+    assert main(["solve", path, "--quiet"]) == 0

@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 import afsimplex as af
 from afsimplex.harness import Method, compare, solve
 from afsimplex.trace import SolveConfig, Status, TieBreak
@@ -74,6 +76,17 @@ def test_compare_walk(walk_sp):
 def test_compare_infeasible(strip_sp):
     report = compare(strip_sp, SolveConfig())
     assert report.verdict is Status.INFEASIBLE
+
+
+@pytest.mark.parametrize(
+    "budget, af_verdict",
+    [(1, Status.ITERATION_LIMIT), (3, Status.FEASIBLE), (4, Status.FEASIBLE)],
+)
+def test_compare_reports_a_safeguard_stop_on_either_side(walk_sp, budget, af_verdict):
+    report = compare(walk_sp, SolveConfig(max_iterations=budget))
+    assert report.verdict is Status.ITERATION_LIMIT
+    assert report.af.verdict is af_verdict
+    assert report.traditional.verdict is Status.ITERATION_LIMIT
 
 
 def test_safeguard_status_passes_through(cycler_sp):

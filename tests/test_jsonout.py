@@ -16,6 +16,7 @@ from afsimplex.jsonout import (
     emit_oracle_json,
     emit_outcome_json,
     emit_report_json,
+    outcome_to_dict,
 )
 from afsimplex.numeric import FloatMode
 from afsimplex.trace import SolveConfig
@@ -28,6 +29,13 @@ def test_outcome_bytes_are_deterministic(walk_sp):
     assert emit_outcome_json(out) == emit_outcome_json(out)
     again = solve(walk_sp, Method.ARTIFICIAL_FREE, SolveConfig())
     assert emit_outcome_json(again) == emit_outcome_json(out)
+
+
+def test_trace_corners_are_built_once(walk_sp):
+    trace = outcome_to_dict(solve(walk_sp, Method.ARTIFICIAL_FREE, SolveConfig()))["phase1"]
+    assert trace["entries"]
+    for k, entry in enumerate(trace["entries"]):
+        assert entry["corner"] is trace["corners"][k + 1]
 
 
 def test_outcome_schema_optimal():

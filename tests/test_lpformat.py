@@ -1,6 +1,9 @@
 """LP text grammar: parsing, errors, and the print round-trip."""
 
+import re
 from fractions import Fraction as F
+from itertools import count
+from typing import NamedTuple, Optional
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +12,11 @@ from hypothesis import strategies as st
 import afsimplex as af
 from afsimplex.generate import Shape, generate_lp
 from afsimplex.lpformat import ParseError, format_lp, parse_lp
+from afsimplex.model import Constraint, EmptyProblem, GeneralProblem, Relation, Sense
+from afsimplex.numeric import EXACT, FloatMode, NumericMode, Value
 
 from conftest import WALK_TEXT
+
 
 
 def test_walk_parses_to_expected_problem():
@@ -170,3 +176,229 @@ def test_format_round_trip_signs_and_fractions():
 def test_format_round_trip_generated(seed, rows, cols, shape):
     gp = generate_lp(seed=seed, rows=rows, cols=cols, shape=shape)
     assert parse_lp(format_lp(gp)) == gp
+
+
+# The parser as it stood before its tokens carried offsets instead of lines
+# and columns, kept verbatim as the reference that the property tests below
+# hold `parse_lp` to: the same problem, or the same error at the same place.
+
+class _Token(NamedTuple):
+    kind: str  # ident | number | symbol
+    text: str
+    line: int
+    column: int
+
+
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+    r"|(?P<number>\d+\.?\d*|\.\d+)"
+    r"|(?P<ident>[^\W\d]\w*)"
+    r"|(?P<symbol><=|>=|[=:;+*/-])"
+    r"|(?P<bad>.)"
+)
+
+
+def _tokenize(text: str) -> list[_Token]:
+    tokens: list[_Token] = []
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, word = match.lastgroup, match.group()
+        if kind == "newline":
+            line, line_start = line + 1, match.end()
+        elif kind is not None:
+            column = match.start() - line_start + 1
+            if kind == "ident" and not (word[0].isalpha() or word[0] == "_"):
+                kind = "bad"  # \w holds numerals such as "²" that start no name
+            if kind == "bad":
+                raise ParseError(f"unexpected character {word[0]!r}", line, column)
+            tokens.append(_Token(kind, word, line, column))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token], mode: NumericMode):
+        self.tokens = tokens
+        self.pos = 0
+        self.mode = mode
+
+    def _peek(self, offset: int = 0) -> Optional[_Token]:
+        index = self.pos + offset
+        return self.tokens[index] if index < len(self.tokens) else None
+
+    def _fail(self, message: str) -> ParseError:
+        tok = self._peek()
+        if tok is None:
+            last = self.tokens[-1] if self.tokens else None
+            line = last.line if last else 1
+            col = last.column + len(last.text) if last else 1
+            return ParseError(message + " (at end of input)", line, col)
+        return ParseError(message + f", found {tok.text!r}", tok.line, tok.column)
+
+    def _take(self, kind: str, text: Optional[str] = None) -> _Token:
+        tok = self._peek()
+        if tok is None or tok.kind != kind or (text is not None and tok.text != text):
+            want = text if text is not None else kind
+            raise self._fail(f"expected {want!r}")
+        self.pos += 1
+        return tok
+
+    def _at_symbol(self, text: str) -> bool:
+        tok = self._peek()
+        return tok is not None and tok.kind == "symbol" and tok.text == text
+
+    def _number(self) -> Value:
+        tok = self._take("number")
+        if self._at_symbol("/"):
+            nxt = self._peek(1)
+            if nxt is not None and nxt.kind == "number":
+                self.pos += 1
+                denom = self._take("number")
+                if "." in tok.text or "." in denom.text:
+                    raise ParseError(
+                        "quotient parts must be integers", tok.line, tok.column
+                    )
+                if denom.text.strip("0") == "":
+                    raise ParseError("zero denominator", denom.line, denom.column)
+                return self._coerce(f"{tok.text}/{denom.text}", tok)
+        return self._coerce(tok.text, tok)
+
+    def _coerce(self, text: str, tok: _Token) -> Value:
+        # Python refuses to convert integers of more than 4300 digits, and a
+        # float cannot hold a number past about 1.8e308.
+        try:
+            return self.mode.coerce(text)
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"cannot read number: {exc}", tok.line, tok.column) from exc
+
+    def _linexpr(self) -> dict[str, Value]:
+        coeffs: dict[str, Value] = {}
+        sign = 1
+        if self._at_symbol("+") or self._at_symbol("-"):
+            sign = -1 if self._take("symbol").text == "-" else 1
+        self._term(coeffs, sign)
+        while self._at_symbol("+") or self._at_symbol("-"):
+            sign = -1 if self._take("symbol").text == "-" else 1
+            self._term(coeffs, sign)
+        return coeffs
+
+    def _term(self, coeffs: dict[str, Value], sign: int) -> None:
+        tok = self._peek()
+        if tok is None:
+            raise self._fail("expected a term")
+        if tok.kind == "number":
+            value = self._number()
+            if self._at_symbol("*"):
+                self.pos += 1
+            ident = self._take("ident")
+            coeff = value if sign > 0 else -value
+        elif tok.kind == "ident":
+            ident = self._take("ident")
+            coeff = self.mode.coerce(sign)
+        else:
+            raise self._fail("expected a term")
+        name = ident.text
+        coeffs[name] = coeffs.get(name, self.mode.zero) + coeff
+
+    def _rhs(self) -> Value:
+        sign = 1
+        if self._at_symbol("+") or self._at_symbol("-"):
+            sign = -1 if self._take("symbol").text == "-" else 1
+        value = self._number()
+        return value if sign > 0 else -value
+
+    def parse(self) -> GeneralProblem:
+        head = self._peek()
+        if head is None:
+            raise ParseError("empty input", 1, 1)
+        if head.kind != "ident" or head.text not in ("max", "min"):
+            raise self._fail("expected 'max' or 'min'")
+        self.pos += 1
+        sense = Sense.MAX if head.text == "max" else Sense.MIN
+        self._take("symbol", ":")
+        if self._at_symbol(";"):
+            raise self._fail("empty objective")
+        objective = self._linexpr()
+        self._take("symbol", ";")
+
+        # Unnamed rows are named once every row is read: each takes the next
+        # "c<k>" that no row names explicitly.
+        rows: list[tuple[Optional[str], dict[str, Value], Relation, Value]] = []
+        named: set[str] = set()
+        while self._peek() is not None:
+            tok = self._peek()
+            nxt = self._peek(1)
+            name = None
+            if (
+                tok.kind == "ident"
+                and nxt is not None
+                and nxt.kind == "symbol"
+                and nxt.text == ":"
+            ):
+                name = tok.text
+                if name in named:
+                    raise ParseError(
+                        f"constraint name {name!r} is used twice", tok.line, tok.column
+                    )
+                named.add(name)
+                self.pos += 2
+            coeffs = self._linexpr()
+            rel_tok = self._peek()
+            if rel_tok is None or rel_tok.kind != "symbol" or rel_tok.text not in ("<=", ">=", "="):
+                raise self._fail("expected '<=', '>=' or '='")
+            self.pos += 1
+            relation = Relation(rel_tok.text)
+            rhs = self._rhs()
+            self._take("symbol", ";")
+            rows.append((name, coeffs, relation, rhs))
+
+        if not rows:
+            raise EmptyProblem("a problem needs at least one constraint")
+        auto = (f"c{k}" for k in count(1) if f"c{k}" not in named)
+        return GeneralProblem(
+            sense=sense,
+            objective=objective,
+            constraints=tuple(
+                Constraint(name or next(auto), coeffs, relation, rhs)
+                for name, coeffs, relation, rhs in rows
+            ),
+            mode=self.mode,
+        )
+
+
+def reference_parse_lp(text: str, mode: NumericMode = EXACT) -> GeneralProblem:
+    return _Parser(_tokenize(text), mode).parse()
+
+
+def parsed(parse, text, mode):
+    """The problem, or the error's type, message, line and column."""
+    try:
+        return parse(text, mode)
+    except (ParseError, EmptyProblem) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+MODES = [EXACT, FloatMode(1e-9)]
+
+# Whole statements reach deep parser states; single symbols, numbers and
+# characters break them anywhere, including numerals that start no name.
+FRAGMENTS = [
+    "max: x + y;", "min: -x;", "c1: x <= 1;", "c2: 2 x - 1/2 y >= -3;", "x + 2*y = 4;",
+    "max", "min", ":", ";", "+", "-", "*", "/", "<=", ">=", "=", "<",
+    " ", "\t", "\n", "\r\n", "\r", "# note\n", "#",
+    "x", "y2", "c1", "_z", "é", "一", "Ⅻ", "²", "½", "٣", "\xa0", "\x0b",
+    "0", "7", "12", "2.5", ".5", "3.", "1/3", "1/0", "4/00", "0.5/2",
+]
+
+
+@pytest.mark.parametrize("mode", MODES, ids=["exact", "float"])
+@given(text=st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_parse_matches_reference_parser(mode, text):
+    assert parsed(parse_lp, text, mode) == parsed(reference_parse_lp, text, mode)
+
+
+def test_generated_ladders_parse_as_the_reference_does():
+    for n in (10, 20, 30, 40, 60, 80, 100):
+        for shape in Shape:
+            text = format_lp(generate_lp(1, n, n, shape=shape))
+            assert parse_lp(text) == reference_parse_lp(text)
