@@ -37,7 +37,6 @@ from .model import (
     Relation,
     Sense,
     StandardProblem,
-    UnsupportedFreeVariable,
     standardize,
 )
 from .numeric import (
@@ -97,7 +96,6 @@ __all__ = [
     "TieBreak",
     "TooLarge",
     "Trace",
-    "UnsupportedFreeVariable",
     "VerdictMismatch",
     "ZeroPivot",
     "AuxiliaryDictionary",

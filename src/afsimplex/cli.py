@@ -3,8 +3,8 @@
 Exit codes: 0 optimal, 1 infeasible, 2 unbounded, 3 stopped by a
 safeguard (cycle detection or the iteration budget), 64 usage errors
 (including unreadable input and unwritable output files), 65 malformed
-LP input (including input that is not UTF-8, and float-mode input whose
-answer overflows to a value that is not finite).
+LP input (including input that is not UTF-8, and float-mode input that
+overflows to a value that is not finite or breaks down at its --eps).
 """
 
 from __future__ import annotations
@@ -17,9 +17,10 @@ from .generate import Shape, generate_lp
 from .harness import Method, compare, solve
 from .jsonout import emit_oracle_json, emit_outcome_json, emit_report_json
 from .lpformat import ParseError, format_lp, parse_lp
-from .model import EmptyProblem, StandardProblem, UnsupportedFreeVariable, standardize
+from .model import EmptyProblem, StandardProblem, standardize
 from .numeric import EXACT, FloatMode, NumericMode
 from .oracle import TooLarge, enumerate_vertices
+from .phase2 import NotPrimalFeasible
 from .trace import SolveConfig, Status, TieBreak
 
 EX_OK = 0
@@ -172,6 +173,23 @@ def _emit(path: str, emit, result) -> str:
         raise _DataError(f"{path}: float arithmetic overflowed ({exc})") from exc
 
 
+def _run(args, method):
+    """Read args.file and return method(sp, config).  A breakdown under
+    the float sign tolerance is a data error; in exact mode only a bug
+    can cause one, so it stays a traceback."""
+    mode = _make_mode(args)
+    sp = _read_problem(args.file, mode)
+    config = _make_config(args)
+    try:
+        return method(sp, config)
+    except (NotPrimalFeasible, RuntimeError) as exc:
+        if mode is EXACT:
+            raise
+        raise _DataError(
+            f"{args.file}: float arithmetic broke down at --eps {args.eps} ({exc})"
+        ) from exc
+
+
 def _status_code(status: Status) -> int:
     if status in (Status.OPTIMAL, Status.FEASIBLE):
         return EX_OK
@@ -183,8 +201,7 @@ def _status_code(status: Status) -> int:
 
 
 def _cmd_solve(args) -> int:
-    sp = _read_problem(args.file, _make_mode(args))
-    outcome = solve(sp, Method(args.method), _make_config(args))
+    outcome = _run(args, lambda sp, config: solve(sp, Method(args.method), config))
     text = _emit(args.file, emit_outcome_json, outcome)
     if args.trace:
         _write_file(args.trace, text)
@@ -194,8 +211,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    sp = _read_problem(args.file, _make_mode(args))
-    report = compare(sp, _make_config(args))
+    report = _run(args, compare)
     text = _emit(args.file, emit_report_json, report)
     if args.report:
         _write_file(args.report, text)
@@ -256,7 +272,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"afsimplex: {exc}", file=sys.stderr)
         return EX_USAGE
-    except (_DataError, ParseError, EmptyProblem, UnsupportedFreeVariable) as exc:
+    except (_DataError, ParseError, EmptyProblem) as exc:
         print(f"afsimplex: {exc}", file=sys.stderr)
         return EX_DATA
 

@@ -111,7 +111,7 @@ class Dictionary:
             raise ValueError("a label cannot be basic and nonbasic at once")
         if isinstance(mode, ExactMode):
             fracs = [
-                [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+                [x if isinstance(x, (int, Fraction)) else mode.coerce(x) for x in row]
                 for row in rows
             ]
             den = math.lcm(*(x.denominator for row in fracs for x in row))
@@ -151,9 +151,6 @@ class Dictionary:
             and self.mode == other.mode
             and self.entries == other.entries
         )
-
-    def __hash__(self) -> int:
-        return hash((self.basis, self.nonbasis, self.entries))
 
     def __repr__(self) -> str:
         return (
@@ -206,7 +203,7 @@ class Dictionary:
         """
         if not (1 <= r <= self.m and 1 <= m <= self.n):
             raise IndexError(f"pivot ({r}, {m}) outside dictionary")
-        if self.mode.is_zero(self.num[r][m]):
+        if self.mode.sign(self.num[r][m]) == 0:
             raise ZeroPivot(f"entry ({r}, {m}) = {self.entry(r, m)!r} classifies as zero")
         den, pivot_row, update = self._rule(r, m)
         num = tuple(

@@ -6,7 +6,6 @@ import random
 from enum import Enum
 
 from .model import Constraint, GeneralProblem, Relation, Sense
-from .numeric import EXACT, NumericMode
 
 
 class Shape(Enum):
@@ -28,7 +27,6 @@ def generate_lp(
     cols: int,
     coeff_range: tuple[int, int] = (-9, 9),
     shape: Shape = Shape.FEASIBLE_BIASED,
-    mode: NumericMode = EXACT,
 ) -> GeneralProblem:
     """Deterministically generate an integer-coefficient problem.
 
@@ -95,5 +93,4 @@ def generate_lp(
         objective=objective,
         constraints=constraints,
         variables=variables,
-        mode=mode,
     )

@@ -117,7 +117,7 @@ def solve(
                 i
                 for i in range(1, d1.m + 1)
                 if d1.row_label(i).kind is LabelKind.ARTIFICIAL
-                and d1.mode.is_positive(d1.num[i][0])
+                and d1.mode.sign(d1.num[i][0]) > 0
             )
         names = sorted(d1.row_label(i).name for i in rows)
         certificates = Certificates(infeasible_rows=tuple(names))

@@ -20,10 +20,6 @@ class Relation(Enum):
     EQ = "="
 
 
-class UnsupportedFreeVariable(ValueError):
-    """A variable without a nonnegativity bound reached standardize()."""
-
-
 class EmptyProblem(ValueError):
     """The problem has no constraints (or no objective) to work with."""
 
@@ -40,9 +36,8 @@ class Constraint:
 class GeneralProblem:
     """A linear program as written: any sense, any relation per row.
 
-    Variables are implicitly nonnegative unless listed in `free`
-    (standardize rejects free variables).  The variable registry fixes
-    column order; when omitted it is derived from order of appearance in
+    Every variable is nonnegative.  The variable registry fixes column
+    order; when omitted it is derived from order of appearance in
     the objective and then the constraints.
     """
 
@@ -50,7 +45,6 @@ class GeneralProblem:
     objective: Mapping[str, Value]
     constraints: tuple[Constraint, ...]
     variables: tuple[str, ...] = ()
-    free: frozenset[str] = frozenset()
     mode: NumericMode = EXACT
 
     def __post_init__(self):
@@ -82,7 +76,6 @@ class GeneralProblem:
             for con in self.constraints
         )
         object.__setattr__(self, "constraints", coerced)
-        object.__setattr__(self, "free", frozenset(self.free))
 
 
 @dataclass(frozen=True)
@@ -120,19 +113,15 @@ def standardize(gp: GeneralProblem) -> StandardProblem:
 
     Minimization flips the objective sign; >= rows are negated; each
     equality splits into a <= pair named "<name>.le" and "<name>.ge".
-    Free variables are rejected rather than substituted.
     """
-    mode = gp.mode
-    if gp.free:
-        offender = sorted(gp.free)[0]
-        raise UnsupportedFreeVariable(f"variable {offender!r} has no sign restriction")
+    zero = gp.mode.zero
     if not gp.constraints:
         raise EmptyProblem("no constraints")
     if not gp.objective:
         raise EmptyProblem("no objective")
 
     variables = gp.variables
-    c = [gp.objective.get(v, mode.coerce(0)) for v in variables]
+    c = [gp.objective.get(v, zero) for v in variables]
     negated = gp.sense is Sense.MIN
     if negated:
         c = [-x for x in c]
@@ -142,7 +131,7 @@ def standardize(gp: GeneralProblem) -> StandardProblem:
     names: list[str] = []
 
     def emit(con: Constraint, flip: bool, name: str) -> None:
-        row = [con.coeffs.get(v, mode.coerce(0)) for v in variables]
+        row = [con.coeffs.get(v, zero) for v in variables]
         rhs = con.rhs
         if flip:
             row = [-x for x in row]
@@ -165,5 +154,5 @@ def standardize(gp: GeneralProblem) -> StandardProblem:
         variables=variables,
         row_names=tuple(names),
         negated_objective=negated,
-        mode=mode,
+        mode=gp.mode,
     )

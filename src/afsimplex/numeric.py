@@ -25,8 +25,8 @@ class ClassifiedZeroDivision(ZeroDivisionError):
 
 
 class NumericMode:
-    """Shared sign-classification helpers; concrete modes define sign(),
-    coerce() and the zero constant."""
+    """A mode has four members: the `zero` constant, coerce(), sign() and
+    div().  Callers test a value's sign by comparing sign(x) with 0."""
 
     zero: Value
 
@@ -36,21 +36,9 @@ class NumericMode:
     def coerce(self, value) -> Value:
         raise NotImplementedError
 
-    def is_zero(self, x: Value) -> bool:
-        return self.sign(x) == ZERO
-
-    def is_negative(self, x: Value) -> bool:
-        return self.sign(x) == NEGATIVE
-
-    def is_positive(self, x: Value) -> bool:
-        return self.sign(x) == POSITIVE
-
-    def is_nonnegative(self, x: Value) -> bool:
-        return self.sign(x) >= ZERO
-
     def div(self, a: Value, b: Value) -> Value:
         """Divide, refusing denominators classified as zero."""
-        if self.is_zero(b):
+        if self.sign(b) == ZERO:
             raise ClassifiedZeroDivision(f"denominator {b!r} classifies as zero")
         return a / b
 
@@ -59,9 +47,7 @@ class NumericMode:
 class ExactMode(NumericMode):
     """Exact rational arithmetic on fractions.Fraction."""
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    zero = Fraction(0)
 
     def coerce(self, value) -> Fraction:
         # Floats are refused here on purpose: silently converting one to the
@@ -82,7 +68,7 @@ class ExactMode(NumericMode):
     def div(self, a: Value, b: Value) -> Fraction:
         """Exact quotient; a and b may be ints, such as two numerators
         over one denominator."""
-        if self.is_zero(b):
+        if self.sign(b) == ZERO:
             raise ClassifiedZeroDivision(f"denominator {b!r} classifies as zero")
         return Fraction(a, b)
 
@@ -97,9 +83,7 @@ class FloatMode(NumericMode):
         if not 0 < self.eps < math.inf:
             raise ValueError("eps must be positive and finite")
 
-    @property
-    def zero(self) -> float:
-        return 0.0
+    zero = 0.0
 
     def coerce(self, value) -> float:
         if isinstance(value, str):

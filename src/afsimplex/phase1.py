@@ -25,8 +25,8 @@ class NoEligibleRow(RuntimeError):
 
 def infeasible_rows(d: Dictionary) -> frozenset[int]:
     """Indices of rows whose basic variable is currently negative."""
-    negative = d.mode.is_negative
-    return frozenset(i for i in range(1, d.m + 1) if negative(d.num[i][0]))
+    sign = d.mode.sign
+    return frozenset(i for i in range(1, d.m + 1) if sign(d.num[i][0]) < 0)
 
 
 def infeasibility_sum(d: Dictionary) -> Value:
@@ -70,7 +70,7 @@ def select_entering(
     """
     best: Optional[int] = None
     for j in range(len(w)):
-        if not mode.is_negative(w[j]):
+        if mode.sign(w[j]) >= 0:
             continue
         if best is None:
             best = j
@@ -170,8 +170,8 @@ class InvariantMonitor:
         m, r = decision.entering_column, decision.leaving_row
         w_m = decision.pricing[m - 1]
         t = decision.ratio
-        self._flag(mode.is_negative(w_m), f"entering column {m} has W = {w_m}")
-        self._flag(mode.is_nonnegative(t), f"selected ratio {t} is negative")
+        self._flag(mode.sign(w_m) < 0, f"entering column {m} has W = {w_m}")
+        self._flag(mode.sign(t) >= 0, f"selected ratio {t} is negative")
 
         # Leaving row must be one of the two eligible categories.
         rhs_sign = mode.sign(before.rhs(r))
@@ -183,9 +183,9 @@ class InvariantMonitor:
         before_vals, _ = before.basic_solution()
         after_vals, _ = after.basic_solution()
         for label, value in before_vals.items():
-            if mode.is_nonnegative(value):
+            if mode.sign(value) >= 0:
                 self._flag(
-                    mode.is_nonnegative(after_vals[label]),
+                    mode.sign(after_vals[label]) >= 0,
                     f"{label.name} went from {value} to {after_vals[label]}",
                 )
 
@@ -208,9 +208,9 @@ class InvariantMonitor:
             mode.sign(phi_after - phi_before) <= 0,
             f"phi rose from {phi_before} to {phi_after}",
         )
-        if mode.is_positive(t):
+        if mode.sign(t) > 0:
             self._flag(
-                mode.is_negative(phi_after - phi_before),
+                mode.sign(phi_after - phi_before) < 0,
                 f"positive step t={t} left phi at {phi_after}",
             )
 

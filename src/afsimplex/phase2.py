@@ -16,7 +16,7 @@ class NotPrimalFeasible(ValueError):
 
 def _check_primal_feasible(d: Dictionary) -> None:
     for i in range(1, d.m + 1):
-        if d.mode.is_negative(d.num[i][0]):
+        if d.mode.sign(d.num[i][0]) < 0:
             raise NotPrimalFeasible(f"row {i} has rhs {d.rhs(i)!r}")
 
 

@@ -150,7 +150,7 @@ def drive(
                 entering=d.column_label(decision.entering_column),
                 leaving=d.row_label(decision.leaving_row),
                 ratio=decision.ratio,
-                degenerate=d.mode.is_zero(decision.ratio),
+                degenerate=d.mode.sign(decision.ratio) == 0,
                 infeasibility_before=phi_before,
                 infeasibility_after=phi,
                 corner=after.corner(),

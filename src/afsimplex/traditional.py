@@ -50,10 +50,6 @@ class AuxiliaryDictionary:
     aux_num: tuple
 
     @property
-    def mode(self):
-        return self.inner.mode
-
-    @property
     def phase1_row(self) -> tuple[Value, ...]:
         """The auxiliary row's values."""
         return tuple(map(self.inner.value, self.aux_num))
@@ -69,17 +65,14 @@ class AuxiliaryDictionary:
         """Total value of the basic artificials (= minus the row's value)."""
         return -self.inner.value(self.aux_num[0])
 
-    def conjugate_column(self, row: int) -> Optional[int]:
+    def conjugate_column(self, row: int) -> int:
         """Nonbasis position of the slack conjugate to the artificial in
-        `row`, or None if that slack is not currently nonbasic."""
+        `row`.  While the artificial is basic, that slack's column has one
+        nonzero entry, the -1 in this row, so the slack cannot have entered."""
         label = self.inner.row_label(row)
         if label.kind is not LabelKind.ARTIFICIAL:
             raise ValueError(f"row {row} holds {label.name}, not an artificial")
-        mate = slack(label.index)
-        for j, col in enumerate(self.inner.nonbasis, start=1):
-            if col == mate:
-                return j
-        return None
+        return self.inner.nonbasis.index(slack(label.index)) + 1
 
     def pivot(self, r: int, m: int) -> "AuxiliaryDictionary":
         """Pivot both objective rows; retire the column of a leaving artificial."""
@@ -100,13 +93,13 @@ class AuxiliaryDictionary:
         column is retired as usual.
         """
         d = self.inner
-        mode = self.mode
-        if not mode.is_zero(d.num[r][0]):
+        sign = d.mode.sign
+        if sign(d.num[r][0]) != 0:
             raise ValueError("conjugate pivot needs a zero-valued pivot row")
-        if not mode.is_zero(d.entry(r, m) + 1):
+        if sign(d.entry(r, m) + 1) != 0:
             raise ValueError("conjugate slack coefficient is not -1")
         for i in range(1, d.m + 1):
-            if i != r and not mode.is_zero(d.num[i][m]):
+            if i != r and sign(d.num[i][m]) != 0:
                 raise RuntimeError(
                     f"conjugate slack column leaks into row {i}; dictionary corrupt"
                 )
@@ -123,7 +116,7 @@ def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
     """
     mode = sp.mode
     zero = mode.zero
-    negative = [i for i in range(sp.m) if mode.is_negative(sp.b[i])]
+    negative = [i for i in range(sp.m) if mode.sign(sp.b[i]) < 0]
     neg_set = set(negative)
 
     columns: list[Label] = [structural(j + 1) for j in range(sp.p)]
@@ -174,8 +167,8 @@ def traditional_step(
     auxiliary-row entry (ties to the smallest label); leaving is the
     classical minimum ratio over positive column entries.
     """
-    mode = aux.mode
     d = aux.inner
+    mode = d.mode
     pricing = aux.phase1_row[1:]
     art_rows = aux.artificial_rows()
     if not art_rows:
@@ -183,20 +176,20 @@ def traditional_step(
 
     if use_trick:
         for r in art_rows:
-            if mode.is_zero(d.num[r][0]):
+            if mode.sign(d.num[r][0]) == 0:
                 m = aux.conjugate_column(r)
                 return Decision(m, r, mode.zero, None, pricing, via_conjugate=True)
 
     row = aux.aux_num
     entering = select_entering(row[1:], d.nonbasis, mode)
     if entering is None:
-        if mode.is_negative(row[0]):
+        if mode.sign(row[0]) < 0:
             return Decision(None, None, None, Status.INFEASIBLE, pricing)
         # Auxiliary optimum at zero with artificials stuck at value zero:
         # swap each out through any nonzero entry of its row (the
         # conjugate slack guarantees one exists).
         r = art_rows[0]
-        nonzero = [j for j in range(1, d.n + 1) if not mode.is_zero(d.num[r][j])]
+        nonzero = [j for j in range(1, d.n + 1) if mode.sign(d.num[r][j]) != 0]
         if not nonzero:
             raise RuntimeError(f"artificial row {r} is identically zero")
         best = min(nonzero, key=d.column_label)

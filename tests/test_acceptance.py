@@ -1,8 +1,10 @@
-"""Acceptance gate: one test per shipped claim, exact arithmetic throughout.
+"""Acceptance gate: one test per shipped claim, in exact arithmetic except
+for criterion 10, which holds float mode to exact mode.
 
 Criteria 5 and 6 share one 540-instance random sweep (module-scoped
 fixture) so the invariant monitor sees every pivot of the same runs that
-are checked against the enumeration oracle.
+are checked against the enumeration oracle; criterion 10 walks the same
+540 instances.
 """
 
 import json
@@ -19,6 +21,7 @@ from afsimplex.harness import Method, compare, solve
 from afsimplex.jsonout import emit_outcome_json
 from afsimplex.lpformat import format_lp, parse_lp
 from afsimplex.model import standardize
+from afsimplex.numeric import FloatMode
 from afsimplex.oracle import enumerate_vertices
 from afsimplex.phase1 import InvariantMonitor, run_phase1
 from afsimplex.trace import SolveConfig, Status, TieBreak
@@ -277,4 +280,32 @@ def test_criterion_9_parser_serialization_exit_codes(tmp_path, capsys, walk_sp):
     print(
         "criterion 9 PASS: LP round-trip exact, outcome JSON byte-stable, "
         "exit codes 0/1/2/65 observed"
+    )
+
+
+def test_criterion_10_float_mode_agrees_with_exact():
+    float_mode = FloatMode(1e-9)  # the CLI's default --eps
+    runs = (
+        (Method.ARTIFICIAL_FREE, SolveConfig()),
+        (Method.TRADITIONAL, SolveConfig()),
+        (Method.TRADITIONAL, SolveConfig(use_trick=True)),
+    )
+    count = 0
+    for seed, rows, cols, shape in _sweep_instances():
+        gp = generate_lp(seed=seed, rows=rows, cols=cols, shape=shape)
+        exact = standardize(gp)
+        floating = standardize(parse_lp(format_lp(gp), float_mode))
+        for method, config in runs:
+            want = solve(exact, method, config)
+            got = solve(floating, method, config)
+            assert got.status is want.status
+            if want.status is Status.OPTIMAL:
+                assert abs(got.objective - want.objective) <= 1e-6 * max(
+                    1, abs(want.objective)
+                )
+        assert compare(floating).verdict is compare(exact).verdict
+        count += 1
+    print(
+        f"criterion 10 PASS: float mode at eps 1e-9 matches exact status, "
+        f"objective and compare verdict on {count} instances"
     )

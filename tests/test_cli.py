@@ -305,6 +305,63 @@ def test_solve_emits_values_past_the_int_digit_limit(lp_file, capsys):
     capsys.readouterr()
 
 
+BREAKDOWN_1 = (
+    "max: 5 x1 + 8 x2;\nc1: 5 x1 + 9 x2 >= 27;\nc2: -7 x1 + 9 x2 <= 27;\n"
+    "c3: -2 x1 + x2 >= 3;\nc4: -2 x1 - 5 x2 <= -13;\n"
+)
+BREAKDOWN_2 = (
+    "max: -9 x1 - 5 x2 + 0 x3 + 9 x4;\nc1: 3 x1 - 6 x2 - 5 x3 - 3 x4 >= -19;\n"
+    "c2: x1 - x2 + 4 x3 + 3 x4 >= 17;\n"
+)
+BREAKDOWN_3 = "min: 4 x1;\nc1: 8 x1 <= 23;\nc2: 8 x1 >= 25;\n"
+BREAKDOWN_4 = (
+    "max: -6 x1;\nc1: 6 x1 >= 7;\nc2: 7 x1 >= 12;\nc3: 9 x1 >= 17;\n"
+    "c4: -3 x1 <= -1;\nc5: -x1 >= -8;\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, eps, args, exact_code",
+    [
+        # a tiny eps: phase 2 meets a rhs of -1.09e-15, and the methods disagree
+        (BREAKDOWN_1, "1e-15", ["solve"], 0),
+        (BREAKDOWN_1, "1e-15", ["compare"], 0),
+        # phase 2's ratio test skips an entry counted as zero and drives its row negative
+        (BREAKDOWN_2, "0.25", ["solve"], 0),
+        # an artificial row whose entries all count as zero
+        (BREAKDOWN_3, "2", ["solve", "--method", "trad"], 1),
+        (BREAKDOWN_3, "2", ["compare"], 1),
+        # W prices a column in which no row is eligible
+        (BREAKDOWN_4, "2", ["solve"], 0),
+        (BREAKDOWN_4, "2", ["compare"], 0),
+    ],
+    ids=["1-solve", "1-compare", "2-solve", "3-trad", "3-compare", "4-solve", "4-compare"],
+)
+def test_float_breakdown_is_data_error(lp_file, capsys, text, eps, args, exact_code):
+    path = lp_file(text)
+    command, *rest = args
+    assert main([command, path, *rest, "--numeric", "float", "--eps", eps]) == 65
+    captured = capsys.readouterr()
+    assert captured.err.startswith(
+        f"afsimplex: {path}: float arithmetic broke down at --eps {float(eps)} ("
+    )
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert main([command, path, *rest, "--quiet"]) == exact_code
+
+
+def test_exact_breakdown_stays_a_traceback(lp_file, monkeypatch):
+    # In exact mode these errors can only mean a bug, so main lets them out.
+    def broken(*args):
+        raise RuntimeError("internal error")
+
+    monkeypatch.setattr("afsimplex.cli.compare", broken)
+    path = lp_file(BOX_TEXT)
+    with pytest.raises(RuntimeError, match="internal error"):
+        main(["compare", path])
+    assert main(["compare", path, "--numeric", "float", "--quiet"]) == 65
+
+
 def test_float_overflow_is_data_error(lp_file, tmp_path, capsys):
     # Float pivots on these 1e300 coefficients overflow to inf, which has no
     # exact ratio to write; rational mode solves the same file.

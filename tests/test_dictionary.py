@@ -95,6 +95,14 @@ def test_initial_dictionary_tiny():
     assert d.entries[0] == (F(0), F(-1))
 
 
+def test_exact_dictionary_refuses_floats():
+    # Fraction(0.1) would store the binary fraction 3602879701896397/2**55.
+    with pytest.raises(TypeError, match="exact mode"):
+        Dictionary((slack(1),), (structural(1),), ((0, 1), (0.1, 1)))
+    d = Dictionary((slack(1),), (structural(1),), ((0, 1), ("1/10", 1)))
+    assert d.rhs(1) == F(1, 10)
+
+
 def test_basic_solution_reads_rhs(walk_sp):
     d = initial_dictionary(walk_sp)
     values, z = d.basic_solution()

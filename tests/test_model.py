@@ -52,17 +52,6 @@ def test_variable_registry_by_appearance():
     assert gp.variables == ("b", "a", "z")
 
 
-def test_free_variable_rejected():
-    gp = af.GeneralProblem(
-        sense=af.Sense.MAX,
-        objective={"x": 1},
-        constraints=(af.Constraint("c1", {"x": 1}, af.Relation.LE, 1),),
-        free=frozenset({"x"}),
-    )
-    with pytest.raises(af.UnsupportedFreeVariable):
-        af.standardize(gp)
-
-
 def test_no_constraints_rejected():
     gp = af.GeneralProblem(
         sense=af.Sense.MAX, objective={"x": 1}, constraints=()

@@ -61,14 +61,6 @@ def test_exact_div_of_integers_is_a_fraction():
         EXACT.div(5, 0)
 
 
-def test_sign_predicates():
-    assert EXACT.is_negative(Fraction(-3))
-    assert EXACT.is_zero(Fraction(0))
-    assert EXACT.is_positive(Fraction(3))
-    assert EXACT.is_nonnegative(Fraction(0))
-    assert not EXACT.is_nonnegative(Fraction(-1, 5))
-
-
 def test_scalar_sign_defaults_to_exact():
     mode = parse_lp("max: x1;\nc1: x1 <= 1;\n").mode
     assert mode is EXACT

@@ -136,7 +136,7 @@ def classical_min_ratio(d, m, tie_break):
     positive entries of column m, ties to the rule and then to the
     smaller basis label; (None, None) when no entry is positive."""
     mode = d.mode
-    rows = [i for i in range(1, d.m + 1) if mode.is_positive(d.entry(i, m))]
+    rows = [i for i in range(1, d.m + 1) if mode.sign(d.entry(i, m)) > 0]
     if not rows:
         return None, None
     ratio = {i: d.rhs(i) / d.entry(i, m) for i in rows}

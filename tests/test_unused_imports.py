@@ -1,9 +1,12 @@
-"""Every top-level import of the library and of the tests is read."""
+"""Every top-level import of the library and of the tests is read, and
+every name the package exports exists."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import afsimplex
 
 ROOT = Path(__file__).parent.parent
 SOURCES = sorted((ROOT / "src" / "afsimplex").glob("*.py")) + sorted(
@@ -45,3 +48,8 @@ def test_sources_were_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_import_is_read(path):
     assert unread_imports(path) == []
+
+
+def test_every_export_resolves_once():
+    assert len(set(afsimplex.__all__)) == len(afsimplex.__all__)
+    assert [name for name in afsimplex.__all__ if not hasattr(afsimplex, name)] == []
