@@ -13,6 +13,7 @@ import argparse
 import sys
 from typing import Optional
 
+from .dictionary import ZeroPivot
 from .generate import Shape, generate_lp
 from .harness import Method, compare, solve
 from .jsonout import emit_oracle_json, emit_outcome_json, emit_report_json
@@ -182,7 +183,7 @@ def _run(args, method):
     config = _make_config(args)
     try:
         return method(sp, config)
-    except (NotPrimalFeasible, RuntimeError) as exc:
+    except (NotPrimalFeasible, RuntimeError, ZeroPivot) as exc:
         if mode is EXACT:
             raise
         raise _DataError(

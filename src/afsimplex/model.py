@@ -114,14 +114,14 @@ def standardize(gp: GeneralProblem) -> StandardProblem:
     Minimization flips the objective sign; >= rows are negated; each
     equality splits into a <= pair named "<name>.le" and "<name>.ge".
     """
-    zero = gp.mode.zero
+    mode = gp.mode
     if not gp.constraints:
         raise EmptyProblem("no constraints")
     if not gp.objective:
         raise EmptyProblem("no objective")
 
     variables = gp.variables
-    c = [gp.objective.get(v, zero) for v in variables]
+    c = [gp.objective.get(v, mode.zero) for v in variables]
     negated = gp.sense is Sense.MIN
     if negated:
         c = [-x for x in c]
@@ -131,7 +131,7 @@ def standardize(gp: GeneralProblem) -> StandardProblem:
     names: list[str] = []
 
     def emit(con: Constraint, flip: bool, name: str) -> None:
-        row = [con.coeffs.get(v, zero) for v in variables]
+        row = [con.coeffs.get(v, mode.zero) for v in variables]
         rhs = con.rhs
         if flip:
             row = [-x for x in row]
@@ -154,5 +154,5 @@ def standardize(gp: GeneralProblem) -> StandardProblem:
         variables=variables,
         row_names=tuple(names),
         negated_objective=negated,
-        mode=gp.mode,
+        mode=mode,
     )

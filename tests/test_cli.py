@@ -314,6 +314,7 @@ BREAKDOWN_2 = (
     "c2: x1 - x2 + 4 x3 + 3 x4 >= 17;\n"
 )
 BREAKDOWN_3 = "min: 4 x1;\nc1: 8 x1 <= 23;\nc2: 8 x1 >= 25;\n"
+BREAKDOWN_TRICK = "max: x1;\nc1: 9 x1 >= 9;\nc2: 8 x1 >= 8;\n"
 BREAKDOWN_4 = (
     "max: -6 x1;\nc1: 6 x1 >= 7;\nc2: 7 x1 >= 12;\nc3: 9 x1 >= 17;\n"
     "c4: -3 x1 <= -1;\nc5: -x1 >= -8;\n"
@@ -334,8 +335,13 @@ BREAKDOWN_4 = (
         # W prices a column in which no row is eligible
         (BREAKDOWN_4, "2", ["solve"], 0),
         (BREAKDOWN_4, "2", ["compare"], 0),
+        # the shortcut's pivot entry, -1, counts as zero
+        (BREAKDOWN_TRICK, "1", ["solve", "--method", "trad", "--trick"], 2),
     ],
-    ids=["1-solve", "1-compare", "2-solve", "3-trad", "3-compare", "4-solve", "4-compare"],
+    ids=[
+        "1-solve", "1-compare", "2-solve", "3-trad", "3-compare", "4-solve", "4-compare",
+        "trick",
+    ],
 )
 def test_float_breakdown_is_data_error(lp_file, capsys, text, eps, args, exact_code):
     path = lp_file(text)
