@@ -314,11 +314,11 @@ BREAKDOWN_2 = (
     "c2: x1 - x2 + 4 x3 + 3 x4 >= 17;\n"
 )
 BREAKDOWN_3 = "min: 4 x1;\nc1: 8 x1 <= 23;\nc2: 8 x1 >= 25;\n"
-BREAKDOWN_TRICK = "max: x1;\nc1: 9 x1 >= 9;\nc2: 8 x1 >= 8;\n"
 BREAKDOWN_4 = (
     "max: -6 x1;\nc1: 6 x1 >= 7;\nc2: 7 x1 >= 12;\nc3: 9 x1 >= 17;\n"
     "c4: -3 x1 <= -1;\nc5: -x1 >= -8;\n"
 )
+BREAKDOWN_TRICK = "max: x1;\nc1: 9 x1 >= 9;\nc2: 8 x1 >= 8;\n"
 
 
 @pytest.mark.parametrize(
