@@ -285,18 +285,17 @@ class Dictionary:
         return values, self.objective_value
 
     def corner(self) -> tuple[Value, ...]:
-        """Structural-variable values at the current basic solution."""
-        pairs = [
-            (label.index, self.rhs(i))
-            for i, label in enumerate(self.basis, start=1)
-            if label.kind is LabelKind.STRUCTURAL
-        ]
-        zero = self.mode.zero
-        pairs += [
-            (label.index, zero) for label in self.nonbasis if label.kind is LabelKind.STRUCTURAL
-        ]
-        pairs.sort()
-        return tuple(v for _, v in pairs)
+        """Structural-variable values at the current basic solution; the
+        structural labels are x1..xp."""
+        kind = LabelKind.STRUCTURAL
+        values = [self.mode.zero] * sum(
+            [label.kind is kind for label in self.basis + self.nonbasis]
+        )
+        value = self.value
+        for label, row in zip(self.basis, self.num[1:]):
+            if label.kind is kind:
+                values[label.index - 1] = value(row[0])
+        return tuple(values)
 
     def negative_transpose(self) -> "Dictionary":
         """The dual dictionary D*: d*_ji = -d_ij with border rows swapped.

@@ -77,6 +77,11 @@ def _encode(obj: Any, indent: str) -> str:
     if isinstance(obj, list):
         if not obj:
             return "[]"
+        if all([type(v) is tuple for v in obj]):
+            # A corner: every item is a (num, den) pair.
+            head, mid, tail = f"{inner}[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
+            items = ",\n".join([f"{head}{num}{mid}{den}{tail}" for num, den in obj])
+            return f"[\n{items}\n{indent}]"
         items = ",\n".join([inner + _encode(v, inner) for v in obj])
         return f"[\n{items}\n{indent}]"
     if isinstance(obj, dict):

@@ -56,6 +56,12 @@ class ExactMode(NumericMode):
             raise TypeError(
                 f"float {value!r} given in exact mode; pass int, str or Fraction"
             )
+        if type(value) is Fraction:
+            return value
+        # An unsigned ASCII integer skips Fraction's regex; int() enforces
+        # the same digit limit that Fraction(str) does.
+        if isinstance(value, str) and value.isascii() and value.isdigit():
+            return Fraction(int(value))
         return Fraction(value)
 
     def sign(self, x: Value) -> int:
@@ -87,6 +93,11 @@ class FloatMode(NumericMode):
 
     def coerce(self, value) -> float:
         if isinstance(value, str):
+            # float() rounds an unsigned ASCII integer as float(Fraction())
+            # does.  Below 309 digits it neither overflows nor reaches the
+            # int digit limit (640 at least), which longer text must hit.
+            if len(value) < 309 and value.isascii() and value.isdigit():
+                return float(value)
             return float(Fraction(value))
         return float(value)
 

@@ -283,21 +283,21 @@ def test_criterion_9_parser_serialization_exit_codes(tmp_path, capsys, walk_sp):
     )
 
 
-def test_criterion_10_float_mode_agrees_with_exact():
+def test_criterion_10_float_mode_agrees_with_exact(sweep):
+    runs, _ = sweep  # the exact af and trad solves, in _sweep_instances() order
     float_mode = FloatMode(1e-9)  # the CLI's default --eps
-    runs = (
-        (Method.ARTIFICIAL_FREE, SolveConfig()),
-        (Method.TRADITIONAL, SolveConfig()),
-        (Method.TRADITIONAL, SolveConfig(use_trick=True)),
-    )
+    trick = SolveConfig(use_trick=True)
     count = 0
-    for seed, rows, cols, shape in _sweep_instances():
+    for (seed, rows, cols, shape), (_, af_exact, trad_exact) in zip(_sweep_instances(), runs):
         gp = generate_lp(seed=seed, rows=rows, cols=cols, shape=shape)
         exact = standardize(gp)
         floating = standardize(parse_lp(format_lp(gp), float_mode))
-        for method, config in runs:
-            want = solve(exact, method, config)
-            got = solve(floating, method, config)
+        pairs = (
+            (af_exact, solve(floating, Method.ARTIFICIAL_FREE, SolveConfig())),
+            (trad_exact, solve(floating, Method.TRADITIONAL, SolveConfig())),
+            (solve(exact, Method.TRADITIONAL, trick), solve(floating, Method.TRADITIONAL, trick)),
+        )
+        for want, got in pairs:
             assert got.status is want.status
             if want.status is Status.OPTIMAL:
                 assert abs(got.objective - want.objective) <= 1e-6 * max(
@@ -305,6 +305,7 @@ def test_criterion_10_float_mode_agrees_with_exact():
                 )
         assert compare(floating).verdict is compare(exact).verdict
         count += 1
+    assert count == len(runs)
     print(
         f"criterion 10 PASS: float mode at eps 1e-9 matches exact status, "
         f"objective and compare verdict on {count} instances"

@@ -148,14 +148,16 @@ def huge_int(digits: int, negative: bool) -> int:
     return -value if negative else value
 
 
+INTEGERS = st.integers() | st.builds(huge_int, st.integers(4301, 4400), st.booleans())
 LEAVES = st.one_of(
     st.none(),
     st.booleans(),
-    st.integers(),
-    st.builds(huge_int, st.integers(4301, 4400), st.booleans()),
+    INTEGERS,
     st.text(),
     st.lists(st.sampled_from(TRICKY_TEXT)).map("".join),
     st.tuples(st.integers(), st.integers(min_value=1)),
+    # a corner: a list made only of (num, den) pairs
+    st.lists(st.tuples(INTEGERS, INTEGERS), min_size=1, max_size=5),
 )
 PAYLOADS = st.recursive(
     LEAVES,

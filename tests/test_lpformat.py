@@ -402,3 +402,17 @@ def test_generated_ladders_parse_as_the_reference_does():
         for shape in Shape:
             text = format_lp(generate_lp(1, n, n, shape=shape))
             assert parse_lp(text) == reference_parse_lp(text)
+
+
+@pytest.mark.parametrize(
+    "mode, kind", [(EXACT, F), (FloatMode(1e-9), float)], ids=["exact", "float"]
+)
+def test_ladder_values_have_the_mode_type(mode, kind):
+    # 1 == 1.0 == F(1), so problem equality cannot tell a float from a Fraction
+    text = format_lp(generate_lp(1, 20, 20)) + "q: 1/2 x1 + 0.25 x2 - 7 x3 <= 3/4;\n"
+    problem = parse_lp(text, mode)
+    values = list(problem.objective.values())
+    for con in problem.constraints:
+        values += [*con.coeffs.values(), con.rhs]
+    assert len(values) > 400
+    assert {type(x) for x in values} == {kind}

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afsimplex import EXACT, ClassifiedZeroDivision, FloatMode, parse_lp
 from afsimplex.numeric import NEGATIVE, POSITIVE, ZERO
@@ -72,3 +74,77 @@ def test_scalar_sign_defaults_to_exact():
 def test_modes_are_frozen():
     with pytest.raises(AttributeError):
         FloatMode().eps = 1.0
+
+
+# Verbatim copies of both coerce methods as they read before integer
+# literals got their own path; the current ones must behave the same.
+def reference_exact_coerce(value) -> Fraction:
+    if isinstance(value, float):
+        raise TypeError(
+            f"float {value!r} given in exact mode; pass int, str or Fraction"
+        )
+    return Fraction(value)
+
+
+def reference_float_coerce(value) -> float:
+    if isinstance(value, str):
+        return float(Fraction(value))
+    return float(value)
+
+
+def outcome(coerce, value):
+    """The value and its type, or the exception's type and message."""
+    try:
+        x = coerce(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError) as exc:
+        return "raised", type(exc), str(exc)
+    return "returned", type(x), x
+
+
+class SubFraction(Fraction):
+    pass
+
+
+TRAP_TEXT = [
+    "0." + "0" * 5000 + "1",  # past the int digit limit; float() would read 0.0
+    "0" * 5000 + "1",  # an integer past the digit limit
+    "1" + "0" * 399, "9" * 400,  # float() would read inf
+    "9" * 308, "9" * 309, "1" * 4300, "1" * 4301,
+    "2/7", "-3/4", "1/0", "12/", "0.5/2",
+    "\u0661\u0662", "\xb2", "1_000", " 7 ", "7\n", "1e5", "1E-3", "-3", "+5", "-0",
+    "", "0", "007", ".5", "3.", "2.50", "nan", "inf",
+]
+DIGITS = st.text("0123456789", min_size=1, max_size=400)
+TEXTS = st.one_of(
+    st.sampled_from(TRAP_TEXT),
+    DIGITS,
+    st.integers().map(str),
+    st.tuples(DIGITS, DIGITS).map("/".join),
+    st.tuples(DIGITS, DIGITS).map(".".join),
+    st.text(),
+)
+VALUES = st.one_of(
+    TEXTS,
+    st.integers(),
+    st.booleans(),
+    st.floats(allow_nan=False),
+    st.fractions(),
+    st.fractions().map(SubFraction),
+)
+
+
+@pytest.mark.parametrize(
+    "coerce, reference",
+    [(EXACT.coerce, reference_exact_coerce), (FloatMode().coerce, reference_float_coerce)],
+    ids=["exact", "float"],
+)
+@settings(max_examples=400, deadline=None)
+@given(value=VALUES)
+def test_coerce_matches_the_fraction_path(coerce, reference, value):
+    assert outcome(coerce, value) == outcome(reference, value)
+
+
+@pytest.mark.parametrize("text", TRAP_TEXT)
+def test_coerce_traps_match_the_fraction_path(text):
+    assert outcome(EXACT.coerce, text) == outcome(reference_exact_coerce, text)
+    assert outcome(FloatMode().coerce, text) == outcome(reference_float_coerce, text)
