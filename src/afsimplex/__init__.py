@@ -22,7 +22,6 @@ from .harness import (
     Certificates,
     ComparisonReport,
     Method,
-    MethodSummary,
     SolveOutcome,
     VerdictMismatch,
     compare,
@@ -80,7 +79,6 @@ __all__ = [
     "Label",
     "LabelKind",
     "Method",
-    "MethodSummary",
     "NotPrimalFeasible",
     "NumericMode",
     "OracleResult",

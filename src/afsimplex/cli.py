@@ -123,7 +123,8 @@ def _build_parser() -> _Parser:
     p_oracle = sub.add_parser("oracle", help="brute-force check a small LP file")
     p_oracle.add_argument("file", help="LP input file")
     p_oracle.add_argument("--guard", type=int, default=10**6,
-                          help="refuse instances with more basis subsets than this")
+                          help="refuse instances with more basis subsets than this, or "
+                               "whose walk takes more than this many row updates")
 
     return parser
 

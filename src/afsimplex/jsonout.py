@@ -38,7 +38,7 @@ def _trace_dict(trace: Trace) -> dict[str, Any]:
     corners = [_corner(c) for c in trace.corners]
     entries = [
         {
-            "iter": rec.iteration,
+            "iter": iteration,
             "entering": rec.entering.name,
             "leaving": rec.leaving.name,
             "ratio": _rational(rec.ratio),
@@ -46,7 +46,7 @@ def _trace_dict(trace: Trace) -> dict[str, Any]:
             "infeasibility_sum": _rational(rec.infeasibility_after),
             "corner": corner,
         }
-        for rec, corner in zip(trace.records, corners[1:])
+        for iteration, (rec, corner) in enumerate(zip(trace.records, corners[1:]), start=1)
     ]
     return {
         "method": trace.method,
@@ -136,12 +136,12 @@ def emit_outcome_json(outcome: SolveOutcome) -> str:
 
 
 def report_to_dict(report: ComparisonReport) -> dict[str, Any]:
-    def summary(s) -> dict[str, Any]:
+    def summary(trace: Trace) -> dict[str, Any]:
         return {
-            "verdict": s.verdict.value,
-            "pivots": s.pivots,
-            "degenerate_pivots": s.degenerate_pivots,
-            "corners": [_corner(c) for c in s.corners],
+            "verdict": trace.status.value,
+            "pivots": trace.pivots,
+            "degenerate_pivots": trace.degenerate_pivots,
+            "corners": [_corner(c) for c in trace.deduplicated_corners()],
         }
 
     return {

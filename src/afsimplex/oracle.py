@@ -28,7 +28,7 @@ from .numeric import ExactMode
 
 
 class TooLarge(ValueError):
-    """The basis count exceeds the enumeration guard."""
+    """The basis count, or the walk's work, exceeds the enumeration guard."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +77,10 @@ def _pivot(a: list[list[int]], r: int, j: int, prev: int) -> list[list[int]]:
 def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
     """Enumerate all basic solutions of the slack-augmented system.
 
-    Raises TooLarge when C(m+p, m) exceeds `guard`.  Exact mode only:
-    the whole point of the oracle is bit-for-bit comparability.
+    Raises TooLarge when C(m+p, m) exceeds `guard`, or during the walk
+    once its Gauss-Jordan steps times m (each step walks all m rows)
+    exceed `guard`.  Exact mode only: the whole point of the oracle is
+    bit-for-bit comparability.
     """
     if not isinstance(sp.mode, ExactMode):
         raise ValueError("the enumeration oracle runs in exact mode only")
@@ -88,6 +90,15 @@ def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
         raise TooLarge(
             f"C({total_cols}, {m}) = {comb(total_cols, m)} bases exceeds guard {guard}"
         )
+
+    steps = 0
+
+    def step(a: list[list[int]], r: int, j: int, prev: int) -> list[list[int]]:
+        nonlocal steps
+        steps += 1
+        if steps * m > guard:
+            raise TooLarge(f"the walk's {steps} steps of {m} rows exceed guard {guard}")
+        return _pivot(a, r, j, prev)
 
     c_den = lcm(*(Fraction(x).denominator for x in sp.c))
     c = [int(Fraction(x) * c_den) for x in sp.c] + [0] * m  # c_den * c, slacks 0
@@ -111,7 +122,7 @@ def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
                 # prefix and j is singular.
                 r = next((i for i in free if a[i][j]), None)
                 if r is not None:
-                    stack.append((cols + (j,), pivots + (r,), _pivot(a, r, j, prev), a[r][j]))
+                    stack.append((cols + (j,), pivots + (r,), step(a, r, j, prev), a[r][j]))
             continue
 
         (r,) = free
@@ -127,7 +138,7 @@ def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
             if any((row[-1] * p - row[j] * b_r) * sign < 0 for row in a):
                 continue
             feasible = True
-            det, done = p, _pivot(a, r, j, prev)
+            det, done = p, step(a, r, j, prev)
             basis = dict(zip(cols + (j,), pivots + (r,)))  # basic column -> its row
             x = {k: done[i][-1] for k, i in basis.items()}  # det * x_B
             vertex = tuple(Fraction(x.get(k, 0), det) for k in range(sp.p))

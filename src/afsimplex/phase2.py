@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .dictionary import Dictionary, Label, LabelKind
+from .dictionary import Dictionary, LabelKind
 from .numeric import Value
 from .phase1 import select_entering, select_leaving
 from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
@@ -37,26 +37,23 @@ def phase2_step(
     return Decision(entering, best_row, best_ratio, None)
 
 
-def improving_ray(d: Dictionary, column: int) -> dict[Label, Value]:
-    """Structural direction along which the objective grows without bound.
+def improving_ray(d: Dictionary, column: int) -> tuple[Value, ...]:
+    """Structural direction along which the objective grows without bound,
+    in `corner()` order.
 
     Increasing the column's nonbasic variable by t moves each basic
     variable by -d_i,column * t; projecting onto structural labels gives
     a ray that satisfies every original row with slack to spare.
     """
-    ray: dict[Label, Value] = {}
+    kind = LabelKind.STRUCTURAL
+    ray = [d.mode.zero] * sum([label.kind is kind for label in d.basis + d.nonbasis])
     target = d.column_label(column)
-    row_of = {label: i for i, label in enumerate(d.basis, start=1)}
-    for label in list(d.basis) + list(d.nonbasis):
-        if label.kind is not LabelKind.STRUCTURAL:
-            continue
-        if label == target:
-            ray[label] = d.mode.coerce(1)
-        elif label in row_of:
-            ray[label] = -d.entry(row_of[label], column)
-        else:
-            ray[label] = d.mode.zero
-    return ray
+    if target.kind is kind:
+        ray[target.index - 1] = d.mode.coerce(1)
+    for i, label in enumerate(d.basis, start=1):
+        if label.kind is kind:
+            ray[label.index - 1] = -d.entry(i, column)
+    return tuple(ray)
 
 
 def run_phase2(

@@ -45,12 +45,10 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class PivotRecord:
-    iteration: int
     entering: Label
     leaving: Label
     ratio: Value
     degenerate: bool
-    infeasibility_before: Value
     infeasibility_after: Value
     corner: tuple[Value, ...]
     pricing: Optional[tuple[Value, ...]] = None
@@ -129,7 +127,7 @@ def drive(
     seen = {d.signature()} if isinstance(d.mode, ExactMode) else None
     records: list[PivotRecord] = []
     initial_corner = d.corner()
-    initial = phi = measure(state)
+    initial = measure(state)
 
     while True:
         decision = step(state)
@@ -140,19 +138,16 @@ def drive(
             status = Status.ITERATION_LIMIT
             break
         nxt = pivot(state, decision)
-        phi_before, phi = phi, measure(nxt)
         if observe is not None:
             observe(state, decision, nxt)
         after = view(nxt)
         records.append(
             PivotRecord(
-                iteration=len(records) + 1,
                 entering=d.column_label(decision.entering_column),
                 leaving=d.row_label(decision.leaving_row),
                 ratio=decision.ratio,
                 degenerate=d.mode.sign(decision.ratio) == 0,
-                infeasibility_before=phi_before,
-                infeasibility_after=phi,
+                infeasibility_after=measure(nxt),
                 corner=after.corner(),
                 pricing=decision.pricing,
                 via_conjugate=decision.via_conjugate,

@@ -65,3 +65,9 @@ def cycler_sp():
 
 def problem_from(text: str) -> af.StandardProblem:
     return af.standardize(af.parse_lp(text))
+
+
+def x1_bounds_text(rows: int) -> str:
+    """`max: x1` under the rows x1 <= 1, ..., x1 <= rows: m + 1 bases but
+    a walk whose cost grows with m."""
+    return "max: x1;\n" + "".join(f"x1 <= {k};\n" for k in range(1, rows + 1))

@@ -11,7 +11,7 @@ import pytest
 from afsimplex import parse_lp, solve, standardize
 from afsimplex.cli import main
 
-from conftest import CYCLER_TEXT, STRIP_TEXT, WALK_TEXT
+from conftest import CYCLER_TEXT, STRIP_TEXT, WALK_TEXT, x1_bounds_text
 
 BOX_TEXT = "max: x1 + x2;\nc1: x1 <= 2;\nc2: x2 <= 3;\n"
 
@@ -230,6 +230,12 @@ def test_oracle_exit_codes(lp_file, capsys):
 def test_oracle_guard_refusal(lp_file, capsys):
     assert main(["oracle", lp_file(WALK_TEXT), "--guard", "5"]) == 64
     assert "afsimplex:" in capsys.readouterr().err
+
+
+def test_oracle_guard_counts_the_walks_row_updates(lp_file, capsys):
+    assert main(["oracle", lp_file(x1_bounds_text(120))]) == 0
+    assert main(["oracle", lp_file(x1_bounds_text(240))]) == 64
+    assert "exceed guard" in capsys.readouterr().err
 
 
 def test_console_script_smoke(tmp_path):

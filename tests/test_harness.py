@@ -62,9 +62,20 @@ def test_solve_agrees_with_oracle_on_value():
     assert out.objective == oracle.optimal_value
 
 
+def test_solve_refuses_a_monitor_it_would_ignore(walk_sp):
+    monitor = af.InvariantMonitor()
+    with pytest.raises(ValueError, match="monitor"):
+        solve(walk_sp, Method.TRADITIONAL, SolveConfig(), monitor=monitor)
+    assert monitor.checks == 0
+    solve(walk_sp, Method.ARTIFICIAL_FREE, SolveConfig(), monitor=monitor)
+    assert monitor.checks == 3
+
+
 def test_compare_walk(walk_sp):
     report = compare(walk_sp, SolveConfig())
     assert report.verdict is Status.FEASIBLE
+    assert report.af == solve(walk_sp, Method.ARTIFICIAL_FREE).phase1
+    assert report.traditional == solve(walk_sp, Method.TRADITIONAL).phase1
     assert report.af.pivots == 3
     assert report.af.degenerate_pivots == 0
     assert report.traditional.pivots == 5
@@ -85,8 +96,8 @@ def test_compare_infeasible(strip_sp):
 def test_compare_reports_a_safeguard_stop_on_either_side(walk_sp, budget, af_verdict):
     report = compare(walk_sp, SolveConfig(max_iterations=budget))
     assert report.verdict is Status.ITERATION_LIMIT
-    assert report.af.verdict is af_verdict
-    assert report.traditional.verdict is Status.ITERATION_LIMIT
+    assert report.af.status is af_verdict
+    assert report.traditional.status is Status.ITERATION_LIMIT
 
 
 def test_safeguard_status_passes_through(cycler_sp):

@@ -19,7 +19,7 @@ from afsimplex.model import Constraint, GeneralProblem, Relation, Sense, Standar
 from afsimplex.numeric import ExactMode, FloatMode
 from afsimplex.oracle import OracleResult, TooLarge, enumerate_vertices
 
-from conftest import problem_from
+from conftest import problem_from, x1_bounds_text
 
 
 def test_walk_vertices(walk_sp):
@@ -81,6 +81,17 @@ def test_guard_refuses_large_instances(walk_sp):
     # C(7, 5) = 21 subsets; a guard of 20 must refuse
     with pytest.raises(TooLarge):
         enumerate_vertices(walk_sp, guard=20)
+
+
+def test_guard_counts_the_walks_row_updates(walk_sp):
+    # C(7, 5) = 21 bases pass a guard of 21, but 5 steps of 5 rows do not.
+    with pytest.raises(TooLarge, match="walk"):
+        enumerate_vertices(walk_sp, guard=21)
+    # 120 rows: 7,261 steps, about 0.87 M row updates, under the default.
+    assert enumerate_vertices(problem_from(x1_bounds_text(120))).optimal_value == F(1)
+    # 240 rows: 241 bases, but 28,921 steps, about 6.9 M row updates.
+    with pytest.raises(TooLarge, match="walk"):
+        enumerate_vertices(problem_from(x1_bounds_text(240)))
 
 
 def test_float_mode_rejected():

@@ -54,8 +54,8 @@ def test_walk_ray_is_verified_improving(walk_sp):
     assert status is Status.UNBOUNDED
     decision = phase2_step(d2, TieBreak.SMALLEST_LABEL)
     assert decision.status is Status.UNBOUNDED
-    ray = improving_ray(d2, decision.entering_column)
-    direction = [ray.get(structural(j + 1), F(0)) for j in range(walk_sp.p)]
+    direction = improving_ray(d2, decision.entering_column)
+    assert len(direction) == walk_sp.p
     # feasible direction: A d <= 0 for every row, improving: c d > 0
     for row in walk_sp.A:
         assert sum(a * x for a, x in zip(row, direction)) <= 0

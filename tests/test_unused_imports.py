@@ -1,5 +1,5 @@
-"""Every top-level import of the library and of the tests is read, and
-every name the package exports exists."""
+"""Every top-level import of the library, the tests and the demos is read,
+and every name the package exports exists."""
 
 import ast
 from pathlib import Path
@@ -9,9 +9,11 @@ import pytest
 import afsimplex
 
 ROOT = Path(__file__).parent.parent
-SOURCES = sorted((ROOT / "src" / "afsimplex").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+SOURCES = [
+    path
+    for folder in (ROOT / "src" / "afsimplex", ROOT / "tests", ROOT / "demos")
+    for path in sorted(folder.glob("*.py"))
+]
 
 
 def unread_imports(path):
