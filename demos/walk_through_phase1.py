@@ -16,12 +16,14 @@ from afsimplex import (
     Status,
     TieBreak,
     infeasibility_sum,
+    infeasible_rows,
     initial_dictionary,
     parse_lp,
     phase1_step,
     solve,
     standardize,
 )
+from afsimplex.phase1 import phase1_objective_vector
 
 here = pathlib.Path(__file__).parent
 sp = standardize(parse_lp((here / "walk.lp").read_text()))
@@ -36,7 +38,7 @@ while True:
     print(f"step {step}: corner {corner}, violation {infeasibility_sum(d)}")
     if decision.entering_column is None:
         break
-    w = tuple(str(x) for x in decision.pricing)
+    w = tuple(str(x) for x in phase1_objective_vector(d, infeasible_rows(d)))
     entering = d.column_label(decision.entering_column).name
     leaving = d.row_label(decision.leaving_row).name
     print(f"        pricing {w}: {entering} enters, {leaving} leaves, "

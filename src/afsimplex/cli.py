@@ -61,7 +61,7 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--eps",
             type=float,
-            default=1e-9,
+            default=None,
             help="sign tolerance for --numeric float (default: 1e-9)",
         )
 
@@ -130,21 +130,26 @@ def _build_parser() -> _Parser:
 
 
 def _make_mode(args) -> NumericMode:
-    if args.numeric == "float":
-        try:
-            return FloatMode(eps=args.eps)
-        except ValueError as exc:
-            raise _UsageError(f"--eps {args.eps}: {exc}") from exc
-    return EXACT
+    if args.eps is None:
+        return FloatMode() if args.numeric == "float" else EXACT
+    if args.numeric != "float":
+        raise _UsageError("--eps needs --numeric float")
+    try:
+        return FloatMode(eps=args.eps)
+    except ValueError as exc:
+        raise _UsageError(f"--eps {args.eps}: {exc}") from exc
 
 
 def _make_config(args) -> SolveConfig:
     if args.max_iters is not None and args.max_iters < 0:
         raise _UsageError("--max-iters must not be negative")
+    use_trick = getattr(args, "trick", False)
+    if use_trick and args.method != Method.TRADITIONAL.value:
+        raise _UsageError("--trick needs --method trad")
     return SolveConfig(
         tie_break=TieBreak(args.tie),
         max_iterations=args.max_iters,
-        use_trick=getattr(args, "trick", False),
+        use_trick=use_trick,
     )
 
 
@@ -188,7 +193,7 @@ def _run(args, method):
         if mode is EXACT:
             raise
         raise _DataError(
-            f"{args.file}: float arithmetic broke down at --eps {args.eps} ({exc})"
+            f"{args.file}: float arithmetic broke down at --eps {mode.eps} ({exc})"
         ) from exc
 
 

@@ -31,9 +31,8 @@ def dual_infeasibility_sum(d: Dictionary) -> Value:
 def dual_phase1_step(d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL) -> Decision:
     """The phase-1 decision on the negative transpose, mapped back.
 
-    Transpose rows are this dictionary's columns and vice versa; the
-    pricing vector is the rowwise sum over the negative objective
-    columns, which is the mirror's W negated.  Performs no pivot itself.
+    Transpose rows are this dictionary's columns and vice versa.
+    Performs no pivot itself.
     """
     mirror = phase1_step(d.negative_transpose(), tie_break)
     return Decision(
@@ -41,7 +40,6 @@ def dual_phase1_step(d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABE
         leaving_row=mirror.entering_column,
         ratio=mirror.ratio,
         status=_MIRRORED.get(mirror.status),
-        pricing=tuple(-w for w in mirror.pricing),
     )
 
 

@@ -15,8 +15,8 @@ convenience, the right-hand side number may carry a leading sign.
 
 from __future__ import annotations
 
+import math
 import re
-from fractions import Fraction
 from itertools import count
 from typing import NamedTuple, Optional
 
@@ -194,12 +194,12 @@ def parse_lp(text: str, mode: NumericMode = EXACT) -> GeneralProblem:
 
 
 def _format_value(x: Value) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    frac = Fraction(x)
-    if frac.denominator == 1:
-        return str(frac.numerator)
-    return f"{frac.numerator}/{frac.denominator}"
+    """The exact integer or quotient `x` denotes.  A float is written this
+    way too, never in exponent form, which the grammar cannot read."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"cannot write {x!r} as LP text")
+    num, den = x.as_integer_ratio()
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _format_linexpr(coeffs, variables) -> str:

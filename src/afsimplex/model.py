@@ -50,6 +50,8 @@ class GeneralProblem:
     def __post_init__(self):
         registry = list(self.variables)
         seen = set(registry)
+        if len(seen) != len(registry):
+            raise ValueError("variable names must be unique")
         mentioned = list(self.objective)
         for con in self.constraints:
             mentioned.extend(con.coeffs)

@@ -136,24 +136,23 @@ def phase1_step(d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL) ->
     """One pricing-and-ratio decision, priced by W; performs no pivot itself."""
     rows = infeasible_rows(d)
     if not rows:
-        return Decision(None, None, None, Status.FEASIBLE, (d.mode.zero,) * d.n)
-    w_num = _column_sums(d, rows)
-    m = select_entering(w_num, d.nonbasis, d.mode)
-    w = tuple(map(d.value, w_num))
+        return Decision(None, None, None, Status.FEASIBLE)
+    m = select_entering(_column_sums(d, rows), d.nonbasis, d.mode)
     if m is None:
         # W >= 0 over rows that must all rise: no entering column can help.
-        return Decision(None, None, None, Status.INFEASIBLE, w)
+        return Decision(None, None, None, Status.INFEASIBLE)
     r, ratio = select_leaving(d, m, tie_break)
     if r is None:
         raise NoEligibleRow(f"no eligible row in column {m}")
-    return Decision(m, r, ratio, None, w)
+    return Decision(m, r, ratio, None)
 
 
 class InvariantMonitor:
     """Checks the per-pivot guarantees of the method and records violations.
 
     Hooked into run_phase1 by tests; every observe() call checks one
-    performed pivot against the pre-pivot dictionary.
+    performed pivot against the pre-pivot dictionary.  The monitor prices
+    W from that dictionary itself rather than trusting the step's numbers.
     """
 
     def __init__(self):
@@ -168,7 +167,8 @@ class InvariantMonitor:
         mode = before.mode
         self.checks += 1
         m, r = decision.entering_column, decision.leaving_row
-        w_m = decision.pricing[m - 1]
+        l_before = infeasible_rows(before)
+        w_m = phase1_objective_vector(before, l_before)[m - 1]
         t = decision.ratio
         self._flag(mode.sign(w_m) < 0, f"entering column {m} has W = {w_m}")
         self._flag(mode.sign(t) >= 0, f"selected ratio {t} is negative")
@@ -191,7 +191,6 @@ class InvariantMonitor:
 
         # The infeasible set never grows, and the violation total obeys
         # phi' = phi + t * W_m (strict decrease whenever t > 0).
-        l_before = infeasible_rows(before)
         l_after = infeasible_rows(after)
         self._flag(
             len(l_after) <= len(l_before),

@@ -51,7 +51,6 @@ class PivotRecord:
     degenerate: bool
     infeasibility_after: Value
     corner: tuple[Value, ...]
-    pricing: Optional[tuple[Value, ...]] = None
     via_conjugate: bool = False
 
 
@@ -86,14 +85,12 @@ class Decision:
     """What a step decided.  `status` is None exactly when the pivot on
     (leaving_row, entering_column) with step length `ratio` is due; any
     other status ends the run, and an UNBOUNDED stop keeps its entering
-    column for the ray.  `pricing` is the vector the step priced columns
-    with, recorded with the pivot."""
+    column for the ray."""
 
     entering_column: Optional[int]
     leaving_row: Optional[int]
     ratio: Optional[Value]
     status: Optional[Status]
-    pricing: Optional[tuple[Value, ...]] = None
     via_conjugate: bool = False
 
 
@@ -149,7 +146,6 @@ def drive(
                 degenerate=d.mode.sign(decision.ratio) == 0,
                 infeasibility_after=measure(nxt),
                 corner=after.corner(),
-                pricing=decision.pricing,
                 via_conjugate=decision.via_conjugate,
             )
         )

@@ -169,22 +169,21 @@ def traditional_step(
     """
     d = aux.inner
     mode = d.mode
-    pricing = aux.phase1_row[1:]
     art_rows = aux.artificial_rows()
     if not art_rows:
-        return Decision(None, None, None, Status.FEASIBLE, pricing)
+        return Decision(None, None, None, Status.FEASIBLE)
 
     if use_trick:
         for r in art_rows:
             if mode.sign(d.num[r][0]) == 0:
                 m = aux.conjugate_column(r)
-                return Decision(m, r, mode.zero, None, pricing, via_conjugate=True)
+                return Decision(m, r, mode.zero, None, via_conjugate=True)
 
     row = aux.aux_num
     entering = select_entering(row[1:], d.nonbasis, mode)
     if entering is None:
         if mode.sign(row[0]) < 0:
-            return Decision(None, None, None, Status.INFEASIBLE, pricing)
+            return Decision(None, None, None, Status.INFEASIBLE)
         # Auxiliary optimum at zero with artificials stuck at value zero:
         # swap each out through any nonzero entry of its row (the
         # conjugate slack guarantees one exists).
@@ -193,14 +192,14 @@ def traditional_step(
         if not nonzero:
             raise RuntimeError(f"artificial row {r} is identically zero")
         best = min(nonzero, key=d.column_label)
-        return Decision(best, r, mode.zero, None, pricing)
+        return Decision(best, r, mode.zero, None)
 
     best_row, best_ratio = select_leaving(d, entering, tie_break)
     if best_row is None:
         # The auxiliary objective is bounded above by zero, so a fully
         # nonpositive column cannot occur on consistent input.
         raise RuntimeError(f"auxiliary column {entering} has no positive entry")
-    return Decision(entering, best_row, best_ratio, None, pricing)
+    return Decision(entering, best_row, best_ratio, None)
 
 
 def run_traditional_phase1(

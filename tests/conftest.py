@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import afsimplex as af
+from afsimplex.phase1 import phase1_objective_vector
 
 # Five-constraint walkthrough instance: infeasible at the origin, feasible
 # region unbounded upward, so the full solve ends UNBOUNDED.
@@ -71,3 +72,14 @@ def x1_bounds_text(rows: int) -> str:
     """`max: x1` under the rows x1 <= 1, ..., x1 <= rows: m + 1 bases but
     a walk whose cost grows with m."""
     return "max: x1;\n" + "".join(f"x1 <= {k};\n" for k in range(1, rows + 1))
+
+
+def replayed_pricing(sp: af.StandardProblem, trace: af.Trace) -> list:
+    """W before each pivot of `trace`, replayed by label from the initial
+    dictionary of `sp`."""
+    d = af.initial_dictionary(sp)
+    pricing = []
+    for rec in trace.records:
+        pricing.append(phase1_objective_vector(d, af.infeasible_rows(d)))
+        d = d.pivot(d.basis.index(rec.leaving) + 1, d.nonbasis.index(rec.entering) + 1)
+    return pricing

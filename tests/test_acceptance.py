@@ -31,7 +31,7 @@ from afsimplex.traditional import (
     traditional_step,
 )
 
-from conftest import STRIP_TEXT, WALK_TEXT, problem_from
+from conftest import STRIP_TEXT, WALK_TEXT, problem_from, replayed_pricing
 
 GOLDEN_CORNERS = ((F(0), F(0)), (F(4), F(0)), (F(4), F(3)), (F(2), F(6)))
 
@@ -45,7 +45,7 @@ def test_criterion_1_artificial_free_golden_trace(walk_sp):
     d, status, trace = _af_golden_trace(walk_sp)
     assert status is Status.FEASIBLE
     assert trace.pivots == 3
-    assert [tuple(r.pricing) for r in trace.records] == [
+    assert replayed_pricing(walk_sp, trace) == [
         (F(-9), F(-8)),
         (F(9), F(-8)),
         (F(-2), F(-1)),

@@ -362,7 +362,7 @@ def test_float_breakdown_is_data_error(lp_file, capsys, text, eps, args, exact_c
     assert main([command, path, *rest, "--quiet"]) == exact_code
 
 
-def test_exact_breakdown_stays_a_traceback(lp_file, monkeypatch):
+def test_exact_breakdown_stays_a_traceback(lp_file, monkeypatch, capsys):
     # In exact mode these errors can only mean a bug, so main lets them out.
     def broken(*args):
         raise RuntimeError("internal error")
@@ -372,6 +372,10 @@ def test_exact_breakdown_stays_a_traceback(lp_file, monkeypatch):
     with pytest.raises(RuntimeError, match="internal error"):
         main(["compare", path])
     assert main(["compare", path, "--numeric", "float", "--quiet"]) == 65
+    # the message names the default tolerance
+    assert capsys.readouterr().err == (
+        f"afsimplex: {path}: float arithmetic broke down at --eps 1e-09 (internal error)\n"
+    )
 
 
 def test_float_overflow_is_data_error(lp_file, tmp_path, capsys):
@@ -391,3 +395,23 @@ def test_float_overflow_is_data_error(lp_file, tmp_path, capsys):
         assert captured.out == ""
     assert not trace.exists()
     assert main(["solve", path, "--quiet"]) == 0
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["solve", "--trick"], "--trick"),
+        (["solve", "--method", "af", "--trick"], "--trick"),
+        (["solve", "--eps", "1e-6"], "--eps"),
+        (["solve", "--numeric", "rational", "--eps", "1e-6"], "--eps"),
+        (["compare", "--eps", "1e-6"], "--eps"),
+    ],
+    ids=["trick", "trick-af", "eps-solve", "eps-rational", "eps-compare"],
+)
+def test_flag_that_would_be_ignored_is_usage_error(lp_file, capsys, args, flag):
+    command, *rest = args
+    assert main([command, lp_file(WALK_TEXT), *rest]) == 64
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"afsimplex: {flag} needs ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""

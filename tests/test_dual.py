@@ -9,6 +9,7 @@ from afsimplex.dual import (
     dual_infeasibility_sum,
     dual_phase1_step,
 )
+from afsimplex.phase1 import infeasible_rows, phase1_objective_vector
 from afsimplex.trace import SolveConfig, Status
 
 
@@ -58,7 +59,9 @@ def test_step_decision_mirrors_the_transpose():
     d = one_row_example()
     decision = dual_phase1_step(d)
     assert decision.status is None
-    assert decision.pricing == (F(1),)  # row sum over the negative column
+    nt = d.negative_transpose()
+    # row sum over the negative column: the mirror's W negated
+    assert tuple(-w for w in phase1_objective_vector(nt, infeasible_rows(nt))) == (F(1),)
     assert decision.entering_column == 1
     assert decision.leaving_row == 1
     mirror = af.phase1_step(d.negative_transpose())

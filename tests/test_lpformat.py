@@ -6,7 +6,7 @@ from itertools import count
 from typing import NamedTuple, Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afsimplex as af
@@ -176,6 +176,41 @@ def test_format_round_trip_signs_and_fractions():
 def test_format_round_trip_generated(seed, rows, cols, shape):
     gp = generate_lp(seed=seed, rows=rows, cols=cols, shape=shape)
     assert parse_lp(format_lp(gp)) == gp
+
+
+# Floats whose repr has an exponent, down to the smallest subnormal and
+# up to the largest finite value.
+_EDGE_FLOATS = (5e-324, 1e-05, 1e16, 1e23, 1.7976931348623157e308)
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    _EDGE_FLOATS + tuple(-x for x in _EDGE_FLOATS)
+)
+
+
+@given(st.sampled_from(list(Sense)), st.lists(_FLOATS, min_size=2, max_size=2),
+       st.lists(st.tuples(_FLOATS, _FLOATS, st.sampled_from(list(Relation)), _FLOATS),
+                min_size=1, max_size=3))
+@example(Sense.MAX, [5e-324, 1e-05],
+         [(1e16, 1.7976931348623157e308, Relation.LE, 1e23),
+          (-5e-324, -1e-05, Relation.GE, -1.7976931348623157e308)])
+@settings(max_examples=200, deadline=None)
+def test_format_round_trip_float(sense, objective, rows):
+    mode = FloatMode()
+    gp = GeneralProblem(
+        sense,
+        dict(zip(("x1", "x2"), objective)),
+        tuple(Constraint(f"c{i}", {"x1": a, "x2": b}, rel, rhs)
+              for i, (a, b, rel, rhs) in enumerate(rows, start=1)),
+        mode=mode,
+    )
+    assert parse_lp(format_lp(gp), mode) == gp
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_format_refuses_a_value_lp_text_cannot_hold(bad):
+    row = Constraint("c1", {"x": 1.0}, Relation.LE, bad)
+    gp = GeneralProblem(Sense.MAX, {"x": 1.0}, (row,), mode=FloatMode())
+    with pytest.raises(ValueError, match="cannot write"):
+        format_lp(gp)
 
 
 # The parser as it stood before its tokens carried offsets instead of lines

@@ -72,6 +72,17 @@ def test_duplicate_constraint_names_rejected():
         )
 
 
+def test_duplicate_variable_names_rejected():
+    # two columns named x would collapse into one solution entry
+    with pytest.raises(ValueError, match="variable names must be unique"):
+        af.GeneralProblem(
+            af.Sense.MAX,
+            {"x": 1},
+            (af.Constraint("c1", {"x": 1}, af.Relation.LE, 2),),
+            variables=("x", "x"),
+        )
+
+
 def test_values_coerced_to_mode():
     gp = af.parse_lp("max: 3 x;\nc1: x <= 4;\n")
     assert isinstance(gp.objective["x"], F)

@@ -15,9 +15,9 @@ from afsimplex.phase1 import (
     phase1_step,
     select_leaving,
 )
-from afsimplex.trace import SolveConfig, Status, TieBreak
+from afsimplex.trace import Decision, SolveConfig, Status, TieBreak
 
-from conftest import problem_from
+from conftest import problem_from, replayed_pricing
 
 
 def test_walk_golden_trace(walk_sp):
@@ -32,7 +32,7 @@ def test_walk_golden_trace(walk_sp):
         ("x2", "w3"),
         ("w1", "w4"),
     ]
-    assert [r.pricing for r in trace.records] == [
+    assert replayed_pricing(walk_sp, trace) == [
         (F(-9), F(-8)),
         (F(9), F(-8)),
         (F(-2), F(-1)),
@@ -60,7 +60,8 @@ def test_walk_exact_decrease_identity(walk_sp):
         if decision.status is not None:
             break
         before = infeasibility_sum(d)
-        w_m = decision.pricing[decision.entering_column - 1]
+        w = phase1_objective_vector(d, infeasible_rows(d))
+        w_m = w[decision.entering_column - 1]
         d = d.pivot(decision.leaving_row, decision.entering_column)
         assert infeasibility_sum(d) == before + decision.ratio * w_m
 
@@ -95,7 +96,7 @@ def test_strip_detected_infeasible(strip_sp):
     # pricing at the stuck dictionary is nonnegative while rows stay short
     decision = phase1_step(d1, TieBreak.SMALLEST_LABEL)
     assert decision.status is Status.INFEASIBLE
-    assert decision.pricing == (F(1),)
+    assert phase1_objective_vector(d1, infeasible_rows(d1)) == (F(1),)
     assert infeasible_rows(d1)
     # the brute-force enumeration agrees the region is empty
     assert not af.enumerate_vertices(strip_sp).feasible
@@ -188,6 +189,15 @@ def test_monitor_collects_checks(walk_sp):
     af.run_phase1(d0, SolveConfig(), monitor=monitor)
     assert monitor.checks == 3
     assert monitor.violations == []
+
+
+def test_monitor_prices_w_from_the_dictionary(walk_sp):
+    # after the walk's first pivot W = (9, -8): column 1 cannot enter, and
+    # the monitor must see that from the dictionary, not from the decision
+    before = initial_dictionary(walk_sp).pivot(1, 1)
+    monitor = af.InvariantMonitor()
+    monitor.observe(before, Decision(1, 1, 4, None), before.pivot(1, 1))
+    assert "entering column 1 has W = 9" in monitor.violations
 
 
 def test_iteration_budget_stops_the_loop(walk_sp):

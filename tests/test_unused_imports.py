@@ -1,5 +1,5 @@
-"""Every top-level import of the library, the tests and the demos is read,
-and every name the package exports exists."""
+"""Every top-level import of the library, the tests, the demos and the
+benchmark is read, and every name the package exports exists."""
 
 import ast
 from pathlib import Path
@@ -11,8 +11,8 @@ import afsimplex
 ROOT = Path(__file__).parent.parent
 SOURCES = [
     path
-    for folder in (ROOT / "src" / "afsimplex", ROOT / "tests", ROOT / "demos")
-    for path in sorted(folder.glob("*.py"))
+    for folder in ("src/afsimplex", "tests", "demos", "perfbench")
+    for path in sorted((ROOT / folder).glob("*.py"))
 ]
 
 
