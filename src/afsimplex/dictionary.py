@@ -18,7 +18,7 @@ Bareiss (1968): every division in it is exact and no gcd is ever taken.
 In float mode the numerators are the float entries themselves and den is
 1.  Because den is positive, sign tests and comparisons within one
 dictionary read the numerators directly; `entries`, `entry`, `rhs`,
-`objective_value`, `basic_solution` and `corner` build the values.
+`objective_value` and `corner` build the values.
 """
 
 from __future__ import annotations
@@ -246,10 +246,7 @@ class Dictionary:
         ps, dv = p * sn, den * sd
 
         def update(row: tuple) -> tuple:
-            a = row[m]
-            if not a:
-                return row if ps == dv else tuple([x * ps // dv for x in row])
-            asn = a * sn
+            asn = row[m] * sn
             new = [(x * ps - asn * y) // dv for x, y in zip(row, prow)]
             new[m] = -asn // sd
             return tuple(new)
@@ -274,15 +271,6 @@ class Dictionary:
         nonbasis = self.nonbasis[: m - 1] + self.nonbasis[m:]
         num = tuple(row[:m] + row[m + 1 :] for row in self.num)
         return self._derive(self.basis, nonbasis, num, self.den)
-
-    def basic_solution(self) -> tuple[dict[Label, Value], Value]:
-        """Values of every label (nonbasic ones are zero) and the objective."""
-        values: dict[Label, Value] = {}
-        for i, label in enumerate(self.basis, start=1):
-            values[label] = self.rhs(i)
-        for label in self.nonbasis:
-            values[label] = self.mode.zero
-        return values, self.objective_value
 
     def corner(self) -> tuple[Value, ...]:
         """Structural-variable values at the current basic solution; the

@@ -6,18 +6,12 @@ from typing import Optional
 
 from .dictionary import Dictionary, LabelKind
 from .numeric import Value
-from .phase1 import select_entering, select_leaving
+from .phase1 import infeasible_rows, select_entering, select_leaving
 from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
 
 class NotPrimalFeasible(ValueError):
     """Phase 2 was handed a dictionary with a negative right-hand side."""
-
-
-def _check_primal_feasible(d: Dictionary) -> None:
-    for i in range(1, d.m + 1):
-        if d.mode.sign(d.num[i][0]) < 0:
-            raise NotPrimalFeasible(f"row {i} has rhs {d.rhs(i)!r}")
 
 
 def phase2_step(
@@ -27,7 +21,10 @@ def phase2_step(
     the smallest label); the classical minimum ratio over positive column
     entries leaves.  A negative column with no positive entry means the
     objective is unbounded along it."""
-    _check_primal_feasible(d)
+    rows = infeasible_rows(d)
+    if rows:
+        i = min(rows)
+        raise NotPrimalFeasible(f"row {i} has rhs {d.rhs(i)!r}")
     entering = select_entering(d.num[0][1:], d.nonbasis, d.mode)
     if entering is None:
         return Decision(None, None, None, Status.OPTIMAL)

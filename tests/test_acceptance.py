@@ -3,8 +3,9 @@ for criterion 10, which holds float mode to exact mode.
 
 Criteria 5 and 6 share one 540-instance random sweep (module-scoped
 fixture) so the invariant monitor sees every pivot of the same runs that
-are checked against the enumeration oracle; criterion 10 walks the same
-540 instances.
+are checked against the enumeration oracle; the paper's pivot counts are
+read off the same runs, and criterion 10 walks the same 540 instances in
+float mode under a second monitor.
 """
 
 import json
@@ -183,6 +184,31 @@ def test_criterion_6_invariants_over_sweep(sweep):
     print(f"criterion 6 PASS: {monitor.checks} pivots checked, 0 violations")
 
 
+def test_paper_claims_hold_over_the_sweep(sweep):
+    # The abstract's claims, counted on the sweep's phase-1 traces: af
+    # never takes more pivots than trad, takes fewer degenerate ones, and
+    # walks the same deduplicated corners on all but two instances.
+    runs, monitor = sweep
+    seeds = [seed for seed, *_ in _sweep_instances()]
+    af = [af_out.phase1 for _, af_out, _ in runs]
+    trad = [trad_out.phase1 for _, _, trad_out in runs]
+    assert all(a.pivots <= t.pivots for a, t in zip(af, trad))
+    assert sum(a.pivots for a in af) == monitor.checks == 881
+    assert sum(t.pivots for t in trad) == 947
+    assert sum(a.degenerate_pivots for a in af) == 17
+    assert sum(t.degenerate_pivots for t in trad) == 81
+    walks_differ = [
+        seed
+        for seed, a, t in zip(seeds, af, trad)
+        if a.deduplicated_corners() != t.deduplicated_corners()
+    ]
+    assert walks_differ == [407, 497]
+    print(
+        "paper claims PASS: af <= trad pivots on all 540 instances, 881 vs 947 "
+        "pivots, 17 vs 81 degenerate, equal corner walks on 538"
+    )
+
+
 def _random_dictionary(rng, pivots):
     m = rng.randint(1, 4)
     n = rng.randint(1, 4)
@@ -287,13 +313,14 @@ def test_criterion_10_float_mode_agrees_with_exact(sweep):
     runs, _ = sweep  # the exact af and trad solves, in _sweep_instances() order
     float_mode = FloatMode(1e-9)  # the CLI's default --eps
     trick = SolveConfig(use_trick=True)
+    monitor = InvariantMonitor()
     count = 0
     for (seed, rows, cols, shape), (_, af_exact, trad_exact) in zip(_sweep_instances(), runs):
         gp = generate_lp(seed=seed, rows=rows, cols=cols, shape=shape)
         exact = standardize(gp)
         floating = standardize(parse_lp(format_lp(gp), float_mode))
         pairs = (
-            (af_exact, solve(floating, Method.ARTIFICIAL_FREE, SolveConfig())),
+            (af_exact, solve(floating, Method.ARTIFICIAL_FREE, SolveConfig(), monitor)),
             (trad_exact, solve(floating, Method.TRADITIONAL, SolveConfig())),
             (solve(exact, Method.TRADITIONAL, trick), solve(floating, Method.TRADITIONAL, trick)),
         )
@@ -306,7 +333,10 @@ def test_criterion_10_float_mode_agrees_with_exact(sweep):
         assert compare(floating).verdict is compare(exact).verdict
         count += 1
     assert count == len(runs)
+    assert monitor.checks == 881
+    assert monitor.violations == []
     print(
         f"criterion 10 PASS: float mode at eps 1e-9 matches exact status, "
-        f"objective and compare verdict on {count} instances"
+        f"objective and compare verdict on {count} instances; "
+        f"{monitor.checks} float pivots checked, 0 violations"
     )

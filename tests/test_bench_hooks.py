@@ -5,10 +5,13 @@ and must still be called through that name.
 `owner.__dict__[attr]`, so a library change that removes or moves one of
 them breaks traced benchmark runs, and one that calls a reference bound
 at import time hides the call from them.  These tests only read
-`perfbench/`.
+`perfbench/`; the last one runs the benchmark's own tests, so a library
+change that breaks them fails here rather than in a benchmark run.
 """
 
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 from afsimplex import harness
@@ -43,3 +46,14 @@ def test_tracer_sees_the_harness_call_each_runner(monkeypatch, walk_sp):
         ("harness.compare", "traditional.run"),
         (None, "harness.compare"),
     } <= seen
+
+
+def test_benchmark_tests_pass():
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "perfbench"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -103,12 +103,10 @@ def test_exact_dictionary_refuses_floats():
     assert d.rhs(1) == F(1, 10)
 
 
-def test_basic_solution_reads_rhs(walk_sp):
+def test_value_accessors_read_rhs(walk_sp):
     d = initial_dictionary(walk_sp)
-    values, z = d.basic_solution()
-    assert z == F(0)
-    assert values[slack(1)] == F(4)
-    assert values[structural(1)] == F(0)
+    assert d.objective_value == F(0)
+    assert d.rhs(1) == F(4)
     assert d.corner() == (F(0), F(0))
 
 
@@ -147,7 +145,10 @@ def test_pivot_preserves_the_solution_set(case):
     # the pivoted dictionary's basic solution must satisfy every defining
     # equation of the original dictionary, objective row included
     d, (r, m) = case
-    values, z = d.pivot(r, m).basic_solution()
+    after = d.pivot(r, m)
+    values = {label: after.rhs(i) for i, label in enumerate(after.basis, start=1)}
+    values.update({label: F(0) for label in after.nonbasis})
+    z = after.objective_value
     for i in range(1, d.m + 1):
         rhs = d.entries[i][0] - sum(
             d.entries[i][j] * values[d.column_label(j)]

@@ -2,7 +2,7 @@
 
 from fractions import Fraction as F
 
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import afsimplex as af
@@ -198,6 +198,88 @@ def test_monitor_prices_w_from_the_dictionary(walk_sp):
     monitor = af.InvariantMonitor()
     monitor.observe(before, Decision(1, 1, 4, None), before.pivot(1, 1))
     assert "entering column 1 has W = 9" in monitor.violations
+
+
+def reference_feasibility_violations(before, after):
+    """The monitor's feasibility checks before they became one subset test,
+    kept as the reference for it: a label whose value is >= 0 (nonbasic
+    labels count as 0) keeps a value >= 0, and |L| never grows."""
+    mode = before.mode
+
+    def values(d):
+        vals = {label: d.rhs(i) for i, label in enumerate(d.basis, start=1)}
+        vals.update({label: mode.zero for label in d.nonbasis})
+        return vals
+
+    violations = []
+    before_vals, after_vals = values(before), values(after)
+    for label, value in before_vals.items():
+        if mode.sign(value) >= 0 and mode.sign(after_vals[label]) < 0:
+            violations.append(f"{label.name} went from {value} to {after_vals[label]}")
+    l_before, l_after = infeasible_rows(before), infeasible_rows(after)
+    if len(l_after) > len(l_before):
+        violations.append(f"|L| grew from {len(l_before)} to {len(l_after)}")
+    return violations
+
+
+def _nonzero_spots(d):
+    return [
+        (i, j)
+        for i in range(1, d.m + 1)
+        for j in range(1, d.n + 1)
+        if d.mode.sign(d.num[i][j]) != 0
+    ]
+
+
+@st.composite
+def pivoted_dictionaries(draw):
+    """A random integer dictionary, exact or float, after up to two
+    arbitrary pivots, with one more arbitrary nonzero pivot (r, m)."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    rows = [tuple(draw(st.integers(-5, 5)) for _ in range(n + 1)) for _ in range(m + 1)]
+    mode = draw(st.sampled_from([EXACT, FloatMode()]))
+    if mode is not EXACT:
+        rows = [tuple(map(float, row)) for row in rows]
+    d = Dictionary(
+        tuple(slack(i + 1) for i in range(m)),
+        tuple(structural(j + 1) for j in range(n)),
+        tuple(rows),
+        mode,
+    )
+    assume(_nonzero_spots(d))  # a pivot leaves 1/p in its spot, so one stays
+    for _ in range(draw(st.integers(0, 2))):
+        d = d.pivot(*draw(st.sampled_from(_nonzero_spots(d))))
+    return d, draw(st.sampled_from(_nonzero_spots(d)))
+
+
+@given(pivoted_dictionaries())
+@settings(max_examples=300)
+def test_no_row_joins_l_matches_the_per_label_checks(case):
+    before, (r, m) = case
+    after = before.pivot(r, m)
+    ratio = before.mode.div(before.num[r][0], before.num[r][m])
+    monitor = af.InvariantMonitor()
+    monitor.observe(before, Decision(m, r, ratio, None), after)
+    joined = [v for v in monitor.violations if " joined L at " in v]
+    reference = reference_feasibility_violations(before, after)
+    assert bool(joined) == bool(reference)
+    assert {v.split()[0] for v in joined} == {
+        v.split()[0] for v in reference if not v.startswith("|L|")
+    }
+
+
+def test_monitor_names_the_slack_that_joins_l():
+    # w1 = 1 - x1 and w2 = 4 - x1: x1 may rise to 1, and pivoting on w2
+    # instead (ratio 4) leaves w1 = -3 + w2
+    before = Dictionary(
+        basis=(slack(1), slack(2)),
+        nonbasis=(structural(1),),
+        entries=((F(0), F(0)), (F(1), F(1)), (F(4), F(1))),
+    )
+    monitor = af.InvariantMonitor()
+    monitor.observe(before, Decision(1, 2, F(4), None), before.pivot(2, 1))
+    assert "w1 joined L at -3" in monitor.violations
 
 
 def test_iteration_budget_stops_the_loop(walk_sp):
