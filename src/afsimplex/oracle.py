@@ -67,8 +67,6 @@ def _pivot(a: list[list[int]], r: int, j: int, prev: int) -> list[list[int]]:
         f = row[j]
         if i == r or (f == 0 and p == prev):
             out.append(row)
-        elif f == 0:
-            out.append([x * p // prev for x in row])
         else:
             out.append([(x * p - f * y) // prev for x, y in zip(row, pivot_row)])
     return out

@@ -11,7 +11,7 @@ infeasible row past zero.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .dictionary import Dictionary, Label
 from .numeric import ExactMode, Value
@@ -40,21 +40,19 @@ def infeasibility_sum(d: Dictionary) -> Value:
     return d.value(total)
 
 
-def _column_sums(d: Dictionary, rows: frozenset[int]) -> list:
-    """Numerators of W over d.den; rows must not be empty."""
-    w = [0] * d.n
+def row_sum(d: Dictionary, rows: Iterable[int]) -> list:
+    """Numerators, over d.den, of the sum of the given rows, column 0
+    included (zeros when there are none).  The rows are added one after
+    another in the order given, so a float sum is reproducible."""
+    total = [0] * (d.n + 1)
     for i in rows:
-        row = d.num[i]
-        for j in range(1, d.n + 1):
-            w[j - 1] += row[j]
-    return w
+        total = [x + y for x, y in zip(total, d.num[i])]
+    return total
 
 
 def phase1_objective_vector(d: Dictionary, rows: frozenset[int]) -> tuple[Value, ...]:
     """W: the columnwise sum of the infeasible rows (zero vector if none)."""
-    if not rows:
-        return (d.mode.zero,) * d.n
-    return tuple(map(d.value, _column_sums(d, rows)))
+    return tuple(map(d.value, row_sum(d, rows)[1:]))
 
 
 def select_entering(
@@ -137,7 +135,7 @@ def phase1_step(d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL) ->
     rows = infeasible_rows(d)
     if not rows:
         return Decision(None, None, None, Status.FEASIBLE)
-    m = select_entering(_column_sums(d, rows), d.nonbasis, d.mode)
+    m = select_entering(row_sum(d, rows)[1:], d.nonbasis, d.mode)
     if m is None:
         # W >= 0 over rows that must all rise: no entering column can help.
         return Decision(None, None, None, Status.INFEASIBLE)

@@ -20,17 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .dictionary import (
-    Dictionary,
-    Label,
-    LabelKind,
-    artificial,
-    slack,
-    structural,
-)
+from .dictionary import Dictionary, LabelKind, artificial, slack, structural
 from .model import StandardProblem
-from .numeric import ExactMode, Value
-from .phase1 import select_entering, select_leaving
+from .numeric import Value
+from .phase1 import row_sum, select_entering, select_leaving
 from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
 
@@ -117,41 +110,21 @@ def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
     mode = sp.mode
     zero = mode.zero
     negative = [i for i in range(sp.m) if mode.sign(sp.b[i]) < 0]
-    neg_set = set(negative)
-
-    columns: list[Label] = [structural(j + 1) for j in range(sp.p)]
-    columns += [slack(i + 1) for i in negative]
-    col_pos = {label: j + 1 for j, label in enumerate(columns)}
-    n = len(columns)
-
-    top = [zero] * (n + 1)
-    for j in range(sp.p):
-        top[1 + j] = -sp.c[j]
-
-    rows: list[tuple[Value, ...]] = [tuple(top)]
-    basis: list[Label] = []
+    pad = (zero,) * len(negative)
+    rows = [(zero, *[-cj for cj in sp.c], *pad)]
     for i in range(sp.m):
-        row = [zero] * (n + 1)
-        if i in neg_set:
-            basis.append(artificial(i + 1))
-            row[0] = -sp.b[i]
-            for j in range(sp.p):
-                row[1 + j] = -sp.A[i][j]
-            row[col_pos[slack(i + 1)]] = mode.coerce(-1)
-        else:
-            basis.append(slack(i + 1))
-            row[0] = sp.b[i]
-            for j in range(sp.p):
-                row[1 + j] = sp.A[i][j]
-        rows.append(tuple(row))
-
-    inner = Dictionary(tuple(basis), tuple(columns), tuple(rows), mode)
+        if i not in negative:
+            rows.append((sp.b[i], *sp.A[i], *pad))
+            continue
+        k = negative.index(i)
+        unit = pad[:k] + (mode.coerce(-1),) + pad[k + 1 :]
+        rows.append((-sp.b[i], *[-a for a in sp.A[i]], *unit))
+    basis = [artificial(i + 1) if i in negative else slack(i + 1) for i in range(sp.m)]
+    columns = [structural(j + 1) for j in range(sp.p)] + [slack(i + 1) for i in negative]
+    inner = Dictionary(basis, columns, rows, mode)
     # The auxiliary row is minus the sum of the artificial rows.
-    aux = [0 if isinstance(mode, ExactMode) else zero] * (n + 1)
-    for i in negative:
-        for j, x in enumerate(inner.num[i + 1]):
-            aux[j] -= x
-    return AuxiliaryDictionary(inner, tuple(aux))
+    aux = tuple(-x for x in row_sum(inner, [i + 1 for i in negative]))
+    return AuxiliaryDictionary(inner, aux)
 
 
 def traditional_step(

@@ -13,6 +13,7 @@ from afsimplex.phase1 import (
     infeasible_rows,
     phase1_objective_vector,
     phase1_step,
+    row_sum,
     select_leaving,
 )
 from afsimplex.trace import Decision, SolveConfig, Status, TieBreak
@@ -267,6 +268,37 @@ def test_no_row_joins_l_matches_the_per_label_checks(case):
     assert {v.split()[0] for v in joined} == {
         v.split()[0] for v in reference if not v.startswith("|L|")
     }
+
+
+def reference_column_sums(d: Dictionary, rows: frozenset[int]) -> list:
+    """Numerators of W over d.den; rows must not be empty."""
+    w = [0] * d.n
+    for i in rows:
+        row = d.num[i]
+        for j in range(1, d.n + 1):
+            w[j - 1] += row[j]
+    return w
+
+
+@given(pivoted_dictionaries(), st.data())
+@settings(max_examples=300)
+def test_row_sum_prices_w_as_the_column_sums_did(case, data):
+    # Float W picks the entering column, so its summation order is kept.
+    d, _ = case
+    rows = frozenset(data.draw(st.sets(st.integers(1, d.m), min_size=1)))
+    total = row_sum(d, rows)
+    w = reference_column_sums(d, rows)
+    if d.mode is not EXACT:
+        assert [x.hex() for x in total[1:]] == [x.hex() for x in w]
+        return
+    assert total[1:] == w
+    assert total[0] == sum(d.num[i][0] for i in rows)
+    # phi is the rhs sum alone: minus column 0 of the row sum over L
+    assert d.value(row_sum(d, infeasible_rows(d))[0]) == -infeasibility_sum(d)
+
+
+def test_row_sum_of_no_rows_is_zero(walk_sp):
+    assert row_sum(initial_dictionary(walk_sp), ()) == [0, 0, 0]
 
 
 def test_monitor_names_the_slack_that_joins_l():

@@ -2,8 +2,20 @@
 
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import afsimplex as af
-from afsimplex.dictionary import LabelKind
+from afsimplex.dictionary import (
+    Dictionary,
+    Label,
+    LabelKind,
+    artificial,
+    slack,
+    structural,
+)
+from afsimplex.model import Constraint, GeneralProblem, Relation, Sense, StandardProblem
+from afsimplex.numeric import EXACT, ExactMode, FloatMode, Value
 from afsimplex.traditional import (
     AuxiliaryDictionary,
     build_auxiliary,
@@ -192,3 +204,104 @@ def test_strip_ends_infeasible_with_violation_one(strip_sp):
     # the smallest total constraint violation of the strip is exactly 1
     assert trace.records[-1].infeasibility_after == F(1)
     assert trace.initial_infeasibility == F(2)
+
+
+def reference_build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
+    """Auxiliary starting dictionary for the artificial-variable method.
+
+    Rows with b_i >= 0 keep their slack basic; rows with b_i < 0 get a
+    basic artificial (value -b_i > 0) and contribute their slack as a
+    nonbasic column.  The auxiliary row expresses minus the artificial
+    total over the nonbasic columns.
+    """
+    mode = sp.mode
+    zero = mode.zero
+    negative = [i for i in range(sp.m) if mode.sign(sp.b[i]) < 0]
+    neg_set = set(negative)
+
+    columns: list[Label] = [structural(j + 1) for j in range(sp.p)]
+    columns += [slack(i + 1) for i in negative]
+    col_pos = {label: j + 1 for j, label in enumerate(columns)}
+    n = len(columns)
+
+    top = [zero] * (n + 1)
+    for j in range(sp.p):
+        top[1 + j] = -sp.c[j]
+
+    rows: list[tuple[Value, ...]] = [tuple(top)]
+    basis: list[Label] = []
+    for i in range(sp.m):
+        row = [zero] * (n + 1)
+        if i in neg_set:
+            basis.append(artificial(i + 1))
+            row[0] = -sp.b[i]
+            for j in range(sp.p):
+                row[1 + j] = -sp.A[i][j]
+            row[col_pos[slack(i + 1)]] = mode.coerce(-1)
+        else:
+            basis.append(slack(i + 1))
+            row[0] = sp.b[i]
+            for j in range(sp.p):
+                row[1 + j] = sp.A[i][j]
+        rows.append(tuple(row))
+
+    inner = Dictionary(tuple(basis), tuple(columns), tuple(rows), mode)
+    # The auxiliary row is minus the sum of the artificial rows.
+    aux = [0 if isinstance(mode, ExactMode) else zero] * (n + 1)
+    for i in negative:
+        for j, x in enumerate(inner.num[i + 1]):
+            aux[j] -= x
+    return AuxiliaryDictionary(inner, tuple(aux))
+
+
+RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-100, 100, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def mixed_problems(draw):
+    """At most 5 rows and 5 columns after standardization: `<=`, `>=` and
+    `=` rows, zero right-hand sides, both senses; exact with denominators
+    up to 12 or float with signed zeros.  One draw in two has no row with
+    b < 0, so the auxiliary start has no artificial."""
+    mode = draw(st.sampled_from([EXACT, FloatMode(), FloatMode(0.5)]))
+    cell = RATIONALS if mode is EXACT else FLOATS
+    zero = mode.zero
+    none_negative = draw(st.booleans())
+    p = draw(st.integers(1, 5))
+    variables = tuple(f"x{j}" for j in range(1, p + 1))
+    constraints = []
+    rows_left = 5
+    while rows_left and (not constraints or draw(st.booleans())):
+        relation = draw(st.sampled_from(list(Relation)))
+        if relation is Relation.EQ and rows_left < 2:
+            relation = Relation.LE
+        rows_left -= 2 if relation is Relation.EQ else 1
+        rhs = draw(st.one_of(st.just(zero), cell))
+        if none_negative:
+            # b = rhs for <=, -rhs for >=, and both for = (so rhs 0)
+            rhs = {Relation.LE: abs(rhs), Relation.GE: -abs(rhs), Relation.EQ: zero}[relation]
+        coeffs = {v: draw(cell) for v in variables}
+        constraints.append(Constraint(f"c{len(constraints)}", coeffs, relation, rhs))
+    objective = {v: draw(cell) for v in variables}
+    sense = draw(st.sampled_from(list(Sense)))
+    gp = GeneralProblem(sense, objective, tuple(constraints), variables, mode)
+    return af.standardize(gp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_problems())
+def test_build_auxiliary_matches_reference(sp):
+    aux, ref = build_auxiliary(sp), reference_build_auxiliary(sp)
+    assert aux.inner.basis == ref.inner.basis
+    assert aux.inner.nonbasis == ref.inner.nonbasis
+    assert aux.inner.num == ref.inner.num
+    assert repr(aux.inner.num) == repr(ref.inner.num)  # signed zeros too
+    assert aux.inner.den == ref.inner.den
+    # The reference subtracts from 0.0 and gets 0.0 where minus a sum of
+    # zeros is -0.0, and its row is 0.0s where there is no artificial to
+    # sum: equal values, not equal bits.
+    assert aux.aux_num == ref.aux_num
