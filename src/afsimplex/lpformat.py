@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import count
-from typing import NamedTuple, Optional
+from itertools import count, islice
+from typing import Optional
 
 from .model import Constraint, EmptyProblem, GeneralProblem, Relation, Sense
 from .numeric import EXACT, NumericMode, Value
@@ -39,139 +39,152 @@ def _error_at(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-class _Token(NamedTuple):
-    kind: str  # ident | number | symbol | end
-    text: str
-    offset: int
-
-
+# Each match skips whitespace and comments, then takes one token, or none at
+# the end of the text, where every group is left empty.
 _TOKEN = re.compile(
-    r"[ \t\r\n]+|#[^\n]*"
-    r"|(?P<number>\d+\.?\d*|\.\d+)"
+    r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
+    r"(?:(?P<number>\d+\.?\d*|\.\d+)"
     r"|(?P<ident>[^\W\d]\w*)"
     r"|(?P<symbol><=|>=|[=:;+*/-])"
-    r"|(?P<bad>.)"
+    r"|(?P<bad>.)|)"
 )
+_NUMBER, _IDENT, _SYMBOL = 0, 1, 2
+_END = ("", "", "", "")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    """The tokens of `text`, then an end token just past the last of them."""
-    tokens: list[_Token] = []
-    for match in _TOKEN.finditer(text):
-        kind = match.lastgroup
-        if kind is None:
-            continue
-        word = match.group()
-        # \w holds numerals such as "²" that start no name
-        if kind == "bad" or (kind == "ident" and not (word[0].isalpha() or word[0] == "_")):
-            raise _error_at(text, match.start(), f"unexpected character {word[0]!r}")
-        tokens.append(_Token(kind, word, match.start()))
-    end = tokens[-1].offset + len(tokens[-1].text) if tokens else 0
-    tokens.append(_Token("end", "", end))
-    return tokens
+def _offset(text: str, k: int) -> int:
+    """Where token k of `text` starts; the end token sits just past the last
+    real token, where the match after that token starts."""
+    match = next(islice(_TOKEN.finditer(text), k, None))
+    return match.start(match.lastindex or 0)
 
 
 class _Parser:
     def __init__(self, text: str, mode: NumericMode):
+        # (number, ident, symbol, bad) per token; the first all-empty tuple ends them
+        tokens = _TOKEN.findall(text)
+        for k, (_, ident, _, bad) in enumerate(tokens):
+            # \w holds numerals such as "²" that start no name
+            if bad or ident and not (ident[0].isalpha() or ident[0] == "_"):
+                message = f"unexpected character {(bad or ident)[0]!r}"
+                raise _error_at(text, _offset(text, k), message)
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = tokens
         self.pos = 0
         self.mode = mode
+        # indexed by "the sign was '-'": the unit coefficients, and each number
+        # text's value, read once per parse
+        self.units = (mode.coerce(1), mode.coerce(-1))
+        self.values: tuple[dict[str, Value], dict[str, Value]] = ({}, {})
 
-    def _fail(self, message: str, tok: Optional[_Token] = None) -> ParseError:
-        """The error at `tok`, or else at the next token, which it names."""
-        if tok is None:
-            tok = self.tokens[self.pos]
-            message += " (at end of input)" if tok.kind == "end" else f", found {tok.text!r}"
-        return _error_at(self.text, tok.offset, message)
+    def _fail(self, message: str, k: Optional[int] = None) -> ParseError:
+        """The error at token `k`, or else at the next token, which it names."""
+        if k is None:
+            k = self.pos
+            word = "".join(self.tokens[k])
+            message += f", found {word!r}" if word else " (at end of input)"
+        return _error_at(self.text, _offset(self.text, k), message)
 
-    def _take(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != kind or (text is not None and tok.text != text):
-            raise self._fail(f"expected {kind if text is None else text!r}")
+    def _expect(self, symbol: str) -> None:
+        if self.tokens[self.pos][_SYMBOL] != symbol:
+            raise self._fail(f"expected {symbol!r}")
         self.pos += 1
-        return tok
 
-    def _sign(self) -> int:
-        """Take an optional "+" or "-": -1 for "-", else 1."""
-        text = self.tokens[self.pos].text
-        if text != "+" and text != "-":
-            return 1
+    def _sign(self) -> bool:
+        """Take an optional "+" or "-": whether it was "-"."""
+        symbol = self.tokens[self.pos][_SYMBOL]
+        if symbol != "+" and symbol != "-":
+            return False
         self.pos += 1
-        return -1 if text == "-" else 1
+        return symbol == "-"
 
-    def _number(self, sign: int) -> Value:
-        tok = self._take("number")
-        text = tok.text
-        if self.tokens[self.pos].text == "/" and self.tokens[self.pos + 1].kind == "number":
-            denom = self.tokens[self.pos + 1]
-            self.pos += 2
-            if "." in text or "." in denom.text:
-                raise self._fail("quotient parts must be integers", tok)
-            if denom.text.strip("0") == "":
-                raise self._fail("zero denominator", denom)
-            text = f"{text}/{denom.text}"
-        # Python refuses to convert integers of more than 4300 digits, and a
-        # float cannot hold a number past about 1.8e308.
-        try:
-            value = self.mode.coerce(text)
-        except (ValueError, OverflowError) as exc:
-            raise self._fail(f"cannot read number: {exc}", tok) from exc
-        return value if sign > 0 else -value
+    def _number(self, negative: bool) -> Value:
+        tokens, k = self.tokens, self.pos
+        text = tokens[k][_NUMBER]
+        if not text:
+            raise self._fail("expected 'number'")
+        self.pos = k + 1
+        if tokens[k + 1][_SYMBOL] == "/" and tokens[k + 2][_NUMBER]:
+            denom = tokens[k + 2][_NUMBER]
+            self.pos = k + 3
+            if "." in text or "." in denom:
+                raise self._fail("quotient parts must be integers", k)
+            if denom.strip("0") == "":
+                raise self._fail("zero denominator", k + 2)
+            text = f"{text}/{denom}"
+        values = self.values[negative]
+        value = values.get(text)
+        if value is None:
+            # Python refuses to convert integers of more than 4300 digits,
+            # and a float cannot hold a number past about 1.8e308.
+            try:
+                value = self.mode.coerce(text)
+            except (ValueError, OverflowError) as exc:
+                raise self._fail(f"cannot read number: {exc}", k) from exc
+            values[text] = value = -value if negative else value
+        return value
 
     def _linexpr(self) -> dict[str, Value]:
+        tokens, units, zero = self.tokens, self.units, self.mode.zero
         coeffs: dict[str, Value] = {}
         while True:
-            sign = self._sign()
-            kind = self.tokens[self.pos].kind
-            if kind == "number":
-                coeff = self._number(sign)
-                if self.tokens[self.pos].text == "*":
+            negative = self._sign()
+            number, name, _, _ = tokens[self.pos]
+            if number:
+                coeff = self._number(negative)
+                if tokens[self.pos][_SYMBOL] == "*":
                     self.pos += 1
-            elif kind == "ident":
-                coeff = self.mode.coerce(sign)
+                name = tokens[self.pos][_IDENT]
+                if not name:
+                    raise self._fail("expected 'ident'")
+            elif name:
+                coeff = units[negative]
             else:
                 raise self._fail("expected a term")
-            name = self._take("ident").text
-            coeffs[name] = coeffs.get(name, self.mode.zero) + coeff
-            if self.tokens[self.pos].text not in ("+", "-"):
+            self.pos += 1
+            # `or zero` reads float mode's "- 0 x" as 0.0, as zero + -0.0 is
+            if name in coeffs:
+                coeffs[name] += coeff
+            else:
+                coeffs[name] = coeff or zero
+            if tokens[self.pos][_SYMBOL] not in ("+", "-"):
                 return coeffs
 
     def parse(self) -> GeneralProblem:
         tokens = self.tokens
-        head = tokens[0]
-        if head.kind == "end":
+        if tokens[0] == _END:
             raise ParseError("empty input", 1, 1)
-        if head.text not in ("max", "min"):
+        head = tokens[0][_IDENT]
+        if head not in ("max", "min"):
             raise self._fail("expected 'max' or 'min'")
         self.pos = 1
-        sense = Sense.MAX if head.text == "max" else Sense.MIN
-        self._take("symbol", ":")
-        if tokens[self.pos].text == ";":
+        sense = Sense.MAX if head == "max" else Sense.MIN
+        self._expect(":")
+        if tokens[self.pos][_SYMBOL] == ";":
             raise self._fail("empty objective")
         objective = self._linexpr()
-        self._take("symbol", ";")
+        self._expect(";")
 
         # Unnamed rows are named once every row is read: each takes the next
         # "c<k>" that no row names explicitly.
         rows: list[tuple[Optional[str], dict[str, Value], Relation, Value]] = []
         named: set[str] = set()
-        while tokens[self.pos].kind != "end":
-            tok = tokens[self.pos]
-            name = None
-            if tok.kind == "ident" and tokens[self.pos + 1].text == ":":
-                name = tok.text
+        while tokens[self.pos] != _END:
+            name = tokens[self.pos][_IDENT]
+            if name and tokens[self.pos + 1][_SYMBOL] == ":":
                 if name in named:
-                    raise self._fail(f"constraint name {name!r} is used twice", tok)
+                    raise self._fail(f"constraint name {name!r} is used twice", self.pos)
                 named.add(name)
                 self.pos += 2
+            else:
+                name = None
             coeffs = self._linexpr()
-            relation = tokens[self.pos].text
+            relation = tokens[self.pos][_SYMBOL]
             if relation not in ("<=", ">=", "="):
                 raise self._fail("expected '<=', '>=' or '='")
             self.pos += 1
             rhs = self._number(self._sign())
-            self._take("symbol", ";")
+            self._expect(";")
             rows.append((name, coeffs, Relation(relation), rhs))
 
         if not rows:
@@ -217,6 +230,8 @@ def _format_linexpr(coeffs, variables) -> str:
 
 def format_lp(gp: GeneralProblem) -> str:
     """Render a problem back to LP text; parsing the output restores it."""
+    if not gp.variables:
+        raise EmptyProblem("a problem with no variables has no LP text")
     lines = [f"{gp.sense.value}: {_format_linexpr(gp.objective, gp.variables)};"]
     for con in gp.constraints:
         expr = _format_linexpr(con.coeffs, gp.variables)

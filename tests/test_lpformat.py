@@ -205,6 +205,12 @@ def test_format_round_trip_float(sense, objective, rows):
     assert parse_lp(format_lp(gp), mode) == gp
 
 
+def test_format_refuses_a_problem_without_variables():
+    gp = GeneralProblem(Sense.MAX, {}, (Constraint("c1", {}, Relation.LE, 1),))
+    with pytest.raises(EmptyProblem, match="no variables"):
+        format_lp(gp)
+
+
 @pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
 def test_format_refuses_a_value_lp_text_cannot_hold(bad):
     row = Constraint("c1", {"x": 1.0}, Relation.LE, bad)
@@ -405,11 +411,17 @@ def reference_parse_lp(text: str, mode: NumericMode = EXACT) -> GeneralProblem:
 
 
 def parsed(parse, text, mode):
-    """The problem, or the error's type, message, line and column."""
+    """The problem with the type and repr of each of its values, or the
+    error's type, message, line and column."""
     try:
-        return parse(text, mode)
+        problem = parse(text, mode)
     except (ParseError, EmptyProblem) as exc:
         return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+    # -0.0 == 0.0 == F(0), so problem equality alone cannot tell them apart
+    values = list(problem.objective.values())
+    for con in problem.constraints:
+        values += [*con.coeffs.values(), con.rhs]
+    return problem, [(type(x), repr(x)) for x in values]
 
 
 MODES = [EXACT, FloatMode(1e-9)]
@@ -418,8 +430,9 @@ MODES = [EXACT, FloatMode(1e-9)]
 # characters break them anywhere, including numerals that start no name.
 FRAGMENTS = [
     "max: x + y;", "min: -x;", "c1: x <= 1;", "c2: 2 x - 1/2 y >= -3;", "x + 2*y = 4;",
+    "c9: - 0 x <= -0;",
     "max", "min", ":", ";", "+", "-", "*", "/", "<=", ">=", "=", "<",
-    " ", "\t", "\n", "\r\n", "\r", "# note\n", "#",
+    " ", "\t", "\n", "\r\n", "\r", "# note\n", "#", "# end",
     "x", "y2", "c1", "_z", "é", "一", "Ⅻ", "²", "½", "٣", "\xa0", "\x0b",
     "0", "7", "12", "2.5", ".5", "3.", "1/3", "1/0", "4/00", "0.5/2",
 ]
@@ -427,6 +440,8 @@ FRAGMENTS = [
 
 @pytest.mark.parametrize("mode", MODES, ids=["exact", "float"])
 @given(text=st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("".join))
+# float mode reads "- 0 x" as 0.0 but a "-0" right-hand side as -0.0
+@example(text="max: x + y;c9: - 0 x <= -0;# end")
 @settings(max_examples=400, deadline=None)
 def test_parse_matches_reference_parser(mode, text):
     assert parsed(parse_lp, text, mode) == parsed(reference_parse_lp, text, mode)
@@ -436,7 +451,23 @@ def test_generated_ladders_parse_as_the_reference_does():
     for n in (10, 20, 30, 40, 60, 80, 100):
         for shape in Shape:
             text = format_lp(generate_lp(1, n, n, shape=shape))
-            assert parse_lp(text) == reference_parse_lp(text)
+            for mode in MODES:
+                assert parsed(parse_lp, text, mode) == parsed(reference_parse_lp, text, mode)
+
+
+@pytest.mark.parametrize("mode", MODES, ids=["exact", "float"])
+def test_errors_in_a_large_input_are_placed_as_the_reference_places_them(mode):
+    text = format_lp(generate_lp(1, 100, 100))
+    middle = len(text) // 2
+    cut = text.index(";\n", middle)  # the last statement loses its ";"
+    for broken, message in [
+        (text[:middle] + "@" + text[middle:], "unexpected character '@'"),
+        (text + "@", "unexpected character '@'"),
+        (text[:cut], "(at end of input)"),
+    ]:
+        error = parsed(parse_lp, broken, mode)
+        assert message in error[1]
+        assert error == parsed(reference_parse_lp, broken, mode)
 
 
 @pytest.mark.parametrize(
