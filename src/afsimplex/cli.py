@@ -2,9 +2,10 @@
 
 Exit codes: 0 optimal, 1 infeasible, 2 unbounded, 3 stopped by a
 safeguard (cycle detection or the iteration budget), 64 usage errors
-(including unreadable input and unwritable output files), 65 malformed
-LP input (including input that is not UTF-8, and float-mode input that
-overflows to a value that is not finite or breaks down at its --eps).
+(including unreadable input and output files or standard output that
+cannot be written), 65 malformed LP input (including input that is not
+UTF-8, and float-mode input that overflows to a value that is not finite
+or breaks down at its --eps).
 """
 
 from __future__ import annotations
@@ -51,21 +52,12 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="afsimplex", description="Two-method LP solver.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_numeric(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--numeric",
-            choices=["rational", "float"],
-            default="rational",
-            help="arithmetic backend (default: rational)",
-        )
-        p.add_argument(
-            "--eps",
-            type=float,
-            default=None,
-            help="sign tolerance for --numeric float (default: 1e-9)",
-        )
-
-    def add_solve_knobs(p: argparse.ArgumentParser) -> None:
+    def add_run_flags(p: argparse.ArgumentParser, out_flag: str, out_help: str) -> None:
+        """The flags solve and compare share; out_flag stores to args.out."""
+        p.add_argument("file", help="LP input file")
+        p.add_argument(out_flag, dest="out", metavar="OUT.json", help=out_help)
+        p.add_argument("--quiet", action="store_true",
+                       help="suppress stdout, keep the exit code")
         p.add_argument(
             "--tie",
             choices=[t.value for t in TieBreak],
@@ -79,9 +71,22 @@ def _build_parser() -> _Parser:
             metavar="N",
             help="override the pivot budget",
         )
+        p.add_argument(
+            "--numeric",
+            choices=["rational", "float"],
+            default="rational",
+            help="arithmetic backend (default: rational)",
+        )
+        p.add_argument(
+            "--eps",
+            type=float,
+            default=None,
+            help="sign tolerance for --numeric float (default: 1e-9)",
+        )
 
     p_solve = sub.add_parser("solve", help="solve one LP file")
-    p_solve.add_argument("file", help="LP input file")
+    p_solve.set_defaults(handler=_cmd_solve)
+    add_run_flags(p_solve, "--trace", "write the full pivot trace to a JSON file")
     p_solve.add_argument(
         "--method",
         choices=[m.value for m in Method],
@@ -90,23 +95,13 @@ def _build_parser() -> _Parser:
     )
     p_solve.add_argument("--trick", action="store_true",
                          help="let the traditional method shortcut zero artificials")
-    p_solve.add_argument("--trace", metavar="OUT.json",
-                         help="write the full pivot trace to a JSON file")
-    p_solve.add_argument("--quiet", action="store_true",
-                         help="suppress stdout, keep the exit code")
-    add_solve_knobs(p_solve)
-    add_numeric(p_solve)
 
     p_cmp = sub.add_parser("compare", help="run both phase 1 methods side by side")
-    p_cmp.add_argument("file", help="LP input file")
-    p_cmp.add_argument("--report", metavar="OUT.json",
-                       help="write the comparison report to a JSON file")
-    p_cmp.add_argument("--quiet", action="store_true",
-                       help="suppress stdout, keep the exit code")
-    add_solve_knobs(p_cmp)
-    add_numeric(p_cmp)
+    p_cmp.set_defaults(handler=_cmd_compare)
+    add_run_flags(p_cmp, "--report", "write the comparison report to a JSON file")
 
     p_gen = sub.add_parser("gen", help="generate a random LP file")
+    p_gen.set_defaults(handler=_cmd_gen)
     p_gen.add_argument("--seed", type=int, required=True)
     p_gen.add_argument("--rows", type=int, required=True)
     p_gen.add_argument("--cols", type=int, required=True)
@@ -121,6 +116,7 @@ def _build_parser() -> _Parser:
     p_gen.add_argument("--out", metavar="FILE", help="write here instead of stdout")
 
     p_oracle = sub.add_parser("oracle", help="brute-force check a small LP file")
+    p_oracle.set_defaults(handler=_cmd_oracle)
     p_oracle.add_argument("file", help="LP input file")
     p_oracle.add_argument("--guard", type=int, default=10**6,
                           help="refuse instances with more basis subsets than this, or "
@@ -164,20 +160,19 @@ def _read_problem(path: str, mode: NumericMode) -> StandardProblem:
     return standardize(parse_lp(text, mode))
 
 
-def _write_file(path: str, text: str) -> None:
+def _write(path: Optional[str], text: str) -> None:
+    """Write text to the file at path, or to standard output when path is
+    None or empty."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        if path:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _emit(path: str, emit, result) -> str:
-    try:
-        return emit(result)
-    except (OverflowError, ValueError) as exc:
-        # A float that overflowed to inf (or became nan) has no exact ratio.
-        raise _DataError(f"{path}: float arithmetic overflowed ({exc})") from exc
+        where = path or "standard output"
+        raise _UsageError(f"cannot write {where}: {exc.strerror or exc}") from exc
 
 
 def _run(args, method):
@@ -207,24 +202,29 @@ def _status_code(status: Status) -> int:
     return EX_SAFEGUARD
 
 
+def _publish(args, emit, result, status: Status) -> int:
+    """Write result as JSON to args.out, if given, and to stdout unless
+    --quiet; return the exit code for status."""
+    try:
+        text = emit(result)
+    except (OverflowError, ValueError) as exc:
+        # A float that overflowed to inf (or became nan) has no exact ratio.
+        raise _DataError(f"{args.file}: float arithmetic overflowed ({exc})") from exc
+    if args.out:
+        _write(args.out, text)
+    if not args.quiet:
+        _write(None, text)
+    return _status_code(status)
+
+
 def _cmd_solve(args) -> int:
     outcome = _run(args, lambda sp, config: solve(sp, Method(args.method), config))
-    text = _emit(args.file, emit_outcome_json, outcome)
-    if args.trace:
-        _write_file(args.trace, text)
-    if not args.quiet:
-        sys.stdout.write(text)
-    return _status_code(outcome.status)
+    return _publish(args, emit_outcome_json, outcome, outcome.status)
 
 
 def _cmd_compare(args) -> int:
     report = _run(args, compare)
-    text = _emit(args.file, emit_report_json, report)
-    if args.report:
-        _write_file(args.report, text)
-    if not args.quiet:
-        sys.stdout.write(text)
-    return _status_code(report.verdict)
+    return _publish(args, emit_report_json, report, report.verdict)
 
 
 def _cmd_gen(args) -> int:
@@ -241,11 +241,7 @@ def _cmd_gen(args) -> int:
     except ValueError as exc:
         bounds = f"--coeff-lo {args.coeff_lo} --coeff-hi {args.coeff_hi}"
         raise _UsageError(f"{bounds}: {exc}") from exc
-    text = format_lp(gp)
-    if args.out:
-        _write_file(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args.out, format_lp(gp))
     return EX_OK
 
 
@@ -255,7 +251,7 @@ def _cmd_oracle(args) -> int:
         result = enumerate_vertices(sp, guard=args.guard)
     except TooLarge as exc:
         raise _UsageError(str(exc)) from exc
-    sys.stdout.write(emit_oracle_json(result))
+    _write(None, emit_oracle_json(result))
     if not result.feasible:
         return EX_INFEASIBLE
     if result.unbounded:
@@ -263,19 +259,11 @@ def _cmd_oracle(args) -> int:
     return EX_OK
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "compare": _cmd_compare,
-    "gen": _cmd_gen,
-    "oracle": _cmd_oracle,
-}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except _UsageError as exc:
         print(f"afsimplex: {exc}", file=sys.stderr)
         return EX_USAGE

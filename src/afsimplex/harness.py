@@ -7,13 +7,13 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .dictionary import LabelKind, initial_dictionary
+from .dictionary import initial_dictionary
 from .model import StandardProblem
 from .numeric import Value
 from .phase1 import InvariantMonitor, infeasible_rows, run_phase1
 from .phase2 import improving_ray, phase2_step, run_phase2
 from .trace import SolveConfig, Status, Trace
-from .traditional import build_auxiliary, run_traditional_phase1
+from .traditional import artificial_rows, build_auxiliary, run_traditional_phase1
 
 
 class Method(Enum):
@@ -112,10 +112,7 @@ def solve(
             # x2 at -0.75 on generate_lp(88, 5, 3) and x4 at -0.27 on
             # generate_lp(106, 5, 6), both INFEASIBLE_BIASED.
             rows = frozenset(
-                i
-                for i in range(1, d1.m + 1)
-                if d1.row_label(i).kind is LabelKind.ARTIFICIAL
-                and d1.mode.sign(d1.num[i][0]) > 0
+                i for i in artificial_rows(d1) if d1.mode.sign(d1.num[i][0]) > 0
             )
         names = sorted(d1.row_label(i).name for i in rows)
         certificates = Certificates(infeasible_rows=tuple(names))

@@ -49,6 +49,7 @@ _TOKEN = re.compile(
     r"|(?P<bad>.)|)"
 )
 _NUMBER, _IDENT, _SYMBOL = 0, 1, 2
+_WORD = re.compile(r"\w+")
 _END = ("", "", "", "")
 
 
@@ -229,9 +230,14 @@ def _format_linexpr(coeffs, variables) -> str:
 
 
 def format_lp(gp: GeneralProblem) -> str:
-    """Render a problem back to LP text; parsing the output restores it."""
+    """Render a problem back to LP text; parsing the output restores it.
+    A name or value the grammar cannot read back raises ValueError."""
     if not gp.variables:
         raise EmptyProblem("a problem with no variables has no LP text")
+    for name in (*gp.variables, *(con.name for con in gp.constraints)):
+        # the rule the parser reads an identifier by: "2x" would read as 2 x
+        if not (_WORD.fullmatch(name) and (name[0].isalpha() or name[0] == "_")):
+            raise ValueError(f"cannot write the name {name!r} as LP text")
     lines = [f"{gp.sense.value}: {_format_linexpr(gp.objective, gp.variables)};"]
     for con in gp.constraints:
         expr = _format_linexpr(con.coeffs, gp.variables)

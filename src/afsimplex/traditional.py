@@ -27,6 +27,13 @@ from .phase1 import row_sum, select_entering, select_leaving
 from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
 
+def artificial_rows(d: Dictionary) -> tuple[int, ...]:
+    """Rows whose basic label is an artificial, in ascending order."""
+    return tuple(
+        i for i, label in enumerate(d.basis, start=1) if label.kind is LabelKind.ARTIFICIAL
+    )
+
+
 @dataclass(frozen=True)
 class AuxiliaryDictionary:
     """A dictionary plus the auxiliary objective row.
@@ -41,18 +48,6 @@ class AuxiliaryDictionary:
 
     inner: Dictionary
     aux_num: tuple
-
-    @property
-    def phase1_row(self) -> tuple[Value, ...]:
-        """The auxiliary row's values."""
-        return tuple(map(self.inner.value, self.aux_num))
-
-    def artificial_rows(self) -> tuple[int, ...]:
-        return tuple(
-            i
-            for i, label in enumerate(self.inner.basis, start=1)
-            if label.kind is LabelKind.ARTIFICIAL
-        )
 
     def infeasibility(self) -> Value:
         """Total value of the basic artificials (= minus the row's value)."""
@@ -123,7 +118,7 @@ def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
     columns = [structural(j + 1) for j in range(sp.p)] + [slack(i + 1) for i in negative]
     inner = Dictionary(basis, columns, rows, mode)
     # The auxiliary row is minus the sum of the artificial rows.
-    aux = tuple(-x for x in row_sum(inner, [i + 1 for i in negative]))
+    aux = tuple(-x for x in row_sum(inner, artificial_rows(inner)))
     return AuxiliaryDictionary(inner, aux)
 
 
@@ -142,7 +137,7 @@ def traditional_step(
     """
     d = aux.inner
     mode = d.mode
-    art_rows = aux.artificial_rows()
+    art_rows = artificial_rows(d)
     if not art_rows:
         return Decision(None, None, None, Status.FEASIBLE)
 

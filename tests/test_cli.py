@@ -1,6 +1,9 @@
 """Command line behaviour: exit codes, output bytes, file side effects."""
 
+import argparse
+import dataclasses
 import json
+import os
 import random
 import subprocess
 import sys
@@ -9,7 +12,8 @@ from fractions import Fraction
 import pytest
 
 from afsimplex import parse_lp, solve, standardize
-from afsimplex.cli import main
+from afsimplex.cli import _build_parser, main
+from afsimplex.trace import SolveConfig
 
 from conftest import CYCLER_TEXT, STRIP_TEXT, WALK_TEXT, x1_bounds_text
 
@@ -248,6 +252,59 @@ def test_console_script_smoke(tmp_path):
     )
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["status"] == "unbounded"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["solve", "{lp}"],
+        ["compare", "{lp}"],
+        ["gen", "--seed", "1", "--rows", "2", "--cols", "2"],
+        ["oracle", "{lp}"],
+    ],
+    ids=["solve", "compare", "gen", "oracle"],
+)
+def test_stdout_that_cannot_be_written_is_usage_error(lp_file, command):
+    argv = [arg.format(lp=lp_file(WALK_TEXT)) for arg in command]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "afsimplex.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("afsimplex: cannot write standard output: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+# Every option string of each subcommand, and the fields of SolveConfig: a
+# flag or knob dropped, renamed or added has to change this table as well.
+CLI_SURFACE = {
+    "compare": ["--eps", "--help", "--max-iters", "--numeric", "--quiet", "--report",
+                "--tie", "-h", "file"],
+    "gen": ["--coeff-hi", "--coeff-lo", "--cols", "--help", "--out", "--rows", "--seed",
+            "--shape", "-h"],
+    "oracle": ["--guard", "--help", "-h", "file"],
+    "solve": ["--eps", "--help", "--max-iters", "--method", "--numeric", "--quiet",
+              "--tie", "--trace", "--trick", "-h", "file"],
+}
+SOLVE_CONFIG_FIELDS = ["tie_break", "max_iterations", "use_trick"]
+
+
+def test_cli_surface_is_pinned():
+    (commands,) = (
+        action for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    surface = {
+        name: sorted(s for a in sub._actions for s in a.option_strings or [a.dest])
+        for name, sub in commands.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    assert [f.name for f in dataclasses.fields(SolveConfig)] == SOLVE_CONFIG_FIELDS
 
 
 @pytest.mark.parametrize("eps", ["0", "nan", "-0.5", "inf"])

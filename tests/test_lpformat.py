@@ -127,8 +127,13 @@ def test_missing_semicolon_reports_position():
          3, 8, "unexpected character '@'"),
         ("max: x;\r\n# note\r\n\tc1:\tx 1;\n", 3, 8, "found '1'"),
         ("max: x;\r\nc1: x <= 1;\r\n\t# last\r\n\tc2: 2.5 x <=", 4, 14, "end of input"),
+        # placed at the numerator, whichever part is a decimal
+        ("max: 1.5/2 x;\nc1: x <= 1;\n", 1, 6, "quotient parts must be integers"),
+        ("max: x;\nc1: 2/0.5 x <= 1;\n", 2, 5, "quotient parts must be integers"),
+        ("max: 3 * ;\nc1: x <= 1;\n", 1, 10, "expected 'ident', found ';'"),
     ],
-    ids=["character", "token", "end"],
+    ids=["character", "token", "end", "decimal-numerator", "decimal-denominator",
+         "coefficient-alone"],
 )
 def test_parse_error_reports_line_and_column(text, line, column, message):
     with pytest.raises(ParseError, match=message) as info:
@@ -217,6 +222,26 @@ def test_format_refuses_a_value_lp_text_cannot_hold(bad):
     gp = GeneralProblem(Sense.MAX, {"x": 1.0}, (row,), mode=FloatMode())
     with pytest.raises(ValueError, match="cannot write"):
         format_lp(gp)
+
+
+@pytest.mark.parametrize(
+    "variable, row, bad",
+    [("2x", "c1", "2x"), ("x y", "c1", "x y"), ("", "c1", ""), ("x", "1c", "1c")],
+    ids=["leading-digit", "space", "empty", "row-leading-digit"],
+)
+def test_format_refuses_a_name_lp_text_cannot_hold(variable, row, bad):
+    # "2x" would read back as 2 x; the others would not parse at all
+    con = Constraint(row, {variable: 1}, Relation.LE, 1)
+    gp = GeneralProblem(Sense.MAX, {variable: 1}, (con,))
+    with pytest.raises(ValueError, match=re.escape(f"cannot write the name {bad!r}")):
+        format_lp(gp)
+
+
+@pytest.mark.parametrize("name", ["é", "_x", "x²"])
+def test_format_round_trip_of_a_name_beyond_ascii_letters(name):
+    con = Constraint(name, {name: 2}, Relation.LE, 3)
+    gp = GeneralProblem(Sense.MAX, {name: 1}, (con,))
+    assert parse_lp(format_lp(gp)) == gp
 
 
 # The parser as it stood before its tokens carried offsets instead of lines

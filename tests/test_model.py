@@ -60,6 +60,34 @@ def test_no_constraints_rejected():
         af.standardize(gp)
 
 
+def test_no_objective_rejected():
+    gp = af.GeneralProblem(
+        af.Sense.MAX, {}, (af.Constraint("c1", {"x": 1}, af.Relation.LE, 1),)
+    )
+    with pytest.raises(af.EmptyProblem, match="^no objective$"):
+        af.standardize(gp)
+
+
+_EMPTY = "standard problem needs at least one row and column"
+
+
+@pytest.mark.parametrize(
+    "A, b, variables, row_names, error, message",
+    [
+        ((), (), ("x",), (), af.EmptyProblem, _EMPTY),
+        (((1,),), (1,), (), ("c1",), af.EmptyProblem, _EMPTY),
+        (((1, 2), (1,)), (1, 1), ("x", "y"), ("c1", "c2"), ValueError,
+         "ragged constraint matrix"),
+        (((1,),), (1,), ("x",), ("c1", "c2"), ValueError,
+         "row metadata out of step with the matrix"),
+    ],
+    ids=["no-rows", "no-columns", "ragged", "row-names"],
+)
+def test_standard_problem_rejects_a_malformed_shape(A, b, variables, row_names, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        af.StandardProblem(A, b, (1,) * len(variables), variables, row_names, False)
+
+
 def test_duplicate_constraint_names_rejected():
     with pytest.raises(ValueError, match="unique"):
         af.GeneralProblem(
