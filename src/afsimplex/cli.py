@@ -11,6 +11,7 @@ or breaks down at its --eps).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional
 
@@ -67,7 +68,6 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--max-iters",
             type=int,
-            default=None,
             metavar="N",
             help="override the pivot budget",
         )
@@ -80,7 +80,6 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--eps",
             type=float,
-            default=None,
             help="sign tolerance for --numeric float (default: 1e-9)",
         )
 
@@ -171,6 +170,10 @@ def _write(path: Optional[str], text: str) -> None:
             sys.stdout.write(text)
             sys.stdout.flush()
     except OSError as exc:
+        if not path:
+            # The failed flush keeps its bytes buffered, and the flush at exit
+            # would fail on them again: send them to the null device instead.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         where = path or "standard output"
         raise _UsageError(f"cannot write {where}: {exc.strerror or exc}") from exc
 
@@ -192,14 +195,9 @@ def _run(args, method):
         ) from exc
 
 
-def _status_code(status: Status) -> int:
-    if status in (Status.OPTIMAL, Status.FEASIBLE):
-        return EX_OK
-    if status is Status.INFEASIBLE:
-        return EX_INFEASIBLE
-    if status is Status.UNBOUNDED:
-        return EX_UNBOUNDED
-    return EX_SAFEGUARD
+# Every other status was stopped by a safeguard.
+_EXIT_CODES = {Status.OPTIMAL: EX_OK, Status.FEASIBLE: EX_OK,
+               Status.INFEASIBLE: EX_INFEASIBLE, Status.UNBOUNDED: EX_UNBOUNDED}
 
 
 def _publish(args, emit, result, status: Status) -> int:
@@ -214,7 +212,7 @@ def _publish(args, emit, result, status: Status) -> int:
         _write(args.out, text)
     if not args.quiet:
         _write(None, text)
-    return _status_code(status)
+    return _EXIT_CODES.get(status, EX_SAFEGUARD)
 
 
 def _cmd_solve(args) -> int:
@@ -264,12 +262,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, _DataError, ParseError, EmptyProblem) as exc:
         print(f"afsimplex: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except (_DataError, ParseError, EmptyProblem) as exc:
-        print(f"afsimplex: {exc}", file=sys.stderr)
-        return EX_DATA
+        return EX_USAGE if isinstance(exc, _UsageError) else EX_DATA
 
 
 def console_main() -> None:

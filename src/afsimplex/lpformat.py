@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import re
+from functools import lru_cache
 from itertools import count, islice
 from typing import Optional
 
@@ -39,18 +40,25 @@ def _error_at(text: str, offset: int, message: str) -> ParseError:
     return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
+_NAME = re.compile(r"[^\W\d]\w*")
 # Each match skips whitespace and comments, then takes one token, or none at
 # the end of the text, where every group is left empty.
 _TOKEN = re.compile(
     r"[ \t\r\n]*(?:#[^\n]*[ \t\r\n]*)*"
     r"(?:(?P<number>\d+\.?\d*|\.\d+)"
-    r"|(?P<ident>[^\W\d]\w*)"
+    rf"|(?P<ident>{_NAME.pattern})"
     r"|(?P<symbol><=|>=|[=:;+*/-])"
     r"|(?P<bad>.)|)"
 )
 _NUMBER, _IDENT, _SYMBOL = 0, 1, 2
-_WORD = re.compile(r"\w+")
 _END = ("", "", "", "")
+
+
+@lru_cache(maxsize=1024)  # the parser asks once per ident token
+def _is_name(word: str) -> bool:
+    """Whether `word` reads back as one name: an ident token that starts with
+    a letter or "_", not a numeral such as "²", which \\w holds."""
+    return bool(_NAME.fullmatch(word)) and (word[0].isalpha() or word[0] == "_")
 
 
 def _offset(text: str, k: int) -> int:
@@ -65,8 +73,7 @@ class _Parser:
         # (number, ident, symbol, bad) per token; the first all-empty tuple ends them
         tokens = _TOKEN.findall(text)
         for k, (_, ident, _, bad) in enumerate(tokens):
-            # \w holds numerals such as "²" that start no name
-            if bad or ident and not (ident[0].isalpha() or ident[0] == "_"):
+            if bad or ident and not _is_name(ident):
                 message = f"unexpected character {(bad or ident)[0]!r}"
                 raise _error_at(text, _offset(text, k), message)
         self.text = text
@@ -235,8 +242,8 @@ def format_lp(gp: GeneralProblem) -> str:
     if not gp.variables:
         raise EmptyProblem("a problem with no variables has no LP text")
     for name in (*gp.variables, *(con.name for con in gp.constraints)):
-        # the rule the parser reads an identifier by: "2x" would read as 2 x
-        if not (_WORD.fullmatch(name) and (name[0].isalpha() or name[0] == "_")):
+        # "2x" would read back as 2 x
+        if not _is_name(name):
             raise ValueError(f"cannot write the name {name!r} as LP text")
     lines = [f"{gp.sense.value}: {_format_linexpr(gp.objective, gp.variables)};"]
     for con in gp.constraints:
