@@ -43,10 +43,23 @@ class _DataError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that raises instead of calling sys.exit(2)."""
+    """argparse that raises instead of calling sys.exit(2), and writes help
+    and usage meant for standard output through _write."""
 
     def error(self, message: str):
         raise _UsageError(message)
+
+    def print_help(self, file=None) -> None:
+        if file is None:
+            _write(None, self.format_help())
+        else:
+            super().print_help(file)
+
+    def print_usage(self, file=None) -> None:
+        if file is None:
+            _write(None, self.format_usage())
+        else:
+            super().print_usage(file)
 
 
 def _build_parser() -> _Parser:
@@ -162,6 +175,9 @@ def _read_problem(path: str, mode: NumericMode) -> StandardProblem:
 def _write(path: Optional[str], text: str) -> None:
     """Write text to the file at path, or to standard output when path is
     None or empty."""
+    if not path and sys.stdout is None:
+        # Python sets sys.stdout to None when the process starts with it closed.
+        raise _UsageError("cannot write standard output: it is closed")
     try:
         if path:
             with open(path, "w", encoding="utf-8", newline="\n") as fh:

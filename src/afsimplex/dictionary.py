@@ -24,10 +24,9 @@ dictionary read the numerators directly; `entries`, `entry`, `rhs`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .model import StandardProblem
 from .numeric import EXACT, ExactMode, NumericMode, Value
@@ -43,22 +42,21 @@ class LabelKind(IntEnum):
     ARTIFICIAL = 2
 
 
-@dataclass(frozen=True, order=True)
-class Label:
+_PREFIX = {LabelKind.STRUCTURAL: "x", LabelKind.SLACK: "w", LabelKind.ARTIFICIAL: "a"}
+
+
+class Label(NamedTuple):
     """Identity of a variable; ordering is structural < slack < artificial,
-    then by index, which gives the label-id order used by tie-breaks."""
+    then by index, which gives the label-id order used by tie-breaks.  As
+    a tuple it orders, hashes and compares in C, and it equals the plain
+    tuple (kind, index)."""
 
     kind: LabelKind
     index: int
 
     @property
     def name(self) -> str:
-        prefix = {
-            LabelKind.STRUCTURAL: "x",
-            LabelKind.SLACK: "w",
-            LabelKind.ARTIFICIAL: "a",
-        }[self.kind]
-        return f"{prefix}{self.index}"
+        return f"{_PREFIX[self.kind]}{self.index}"
 
     def __repr__(self) -> str:  # keeps test output readable
         return self.name

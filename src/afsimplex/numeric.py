@@ -92,6 +92,8 @@ class FloatMode(NumericMode):
     zero = 0.0
 
     def coerce(self, value) -> float:
+        if type(value) is float:
+            return value
         if isinstance(value, str):
             # float() rounds an unsigned ASCII integer as float(Fraction())
             # does.  Below 309 digits it neither overflows nor reaches the

@@ -92,10 +92,15 @@ def select_leaving(
     smallest basis label.  On a primal-feasible dictionary only the
     second kind exists, so this is the classical minimum-ratio test, and
     phase 2 and the traditional method use it as such.
+
+    Float mode compares the quotients rhs / entry.  Exact mode compares
+    two candidates' integer numerators by cross-multiplication and builds
+    one Fraction, the winner's ratio.
     """
     mode = d.mode
+    exact = isinstance(mode, ExactMode)
     best_row: Optional[int] = None
-    best_ratio: Optional[Value] = None
+    best = None  # the best row's ratio, in exact mode as (|rhs|, |entry|)
     for i in range(1, d.m + 1):
         rhs, entry = d.num[i][0], d.num[i][m]
         entry_sign = mode.sign(entry)
@@ -105,12 +110,23 @@ def select_leaving(
             eligible = entry_sign > 0
         if not eligible:
             continue
-        ratio = mode.div(rhs, entry)  # the common denominator cancels
-        if best_ratio is None or ratio < best_ratio:
-            best_row, best_ratio = i, ratio
-        elif ratio == best_ratio:
+        # The common denominator cancels, and on an eligible row
+        # rhs / entry = |rhs| / |entry|.
+        ratio = (abs(rhs), abs(entry)) if exact else rhs / entry
+        if best_row is None:
+            best_row, best = i, ratio
+            continue
+        if exact:  # cross-multiply: no fraction is built to compare
+            here, there = ratio[0] * best[1], best[0] * ratio[1]
+        else:
+            here, there = ratio, best
+        if here < there:
+            best_row, best = i, ratio
+        elif here == there:
             best_row = break_tie(d, m, best_row, i, tie_break)
-    return best_row, best_ratio
+    if exact and best is not None:
+        best = mode.div(*best)
+    return best_row, best
 
 
 def break_tie(d: Dictionary, m: int, current: int, challenger: int, rule: TieBreak) -> int:

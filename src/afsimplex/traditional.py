@@ -84,7 +84,7 @@ class AuxiliaryDictionary:
         sign = d.mode.sign
         if sign(d.num[r][0]) != 0:
             raise ValueError("conjugate pivot needs a zero-valued pivot row")
-        if sign(d.entry(r, m) + 1) != 0:
+        if sign(d.num[r][m] + d.den) != 0:  # N_rm / D = -1 exactly when N_rm = -D
             raise ValueError("conjugate slack coefficient is not -1")
         for i in range(1, d.m + 1):
             if i != r and sign(d.num[i][m]) != 0:

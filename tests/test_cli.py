@@ -286,6 +286,46 @@ def test_stdout_that_cannot_be_written_is_usage_error(lp_file, monkeypatch, comm
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [["--help"], ["solve", "-h"]], ids=["top", "solve"])
+def test_help_that_cannot_be_written_is_usage_error(command):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "afsimplex.cli", *command],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    assert proc.returncode == 64
+    assert proc.stderr.startswith("afsimplex: cannot write standard output: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_closed_stdout_is_usage_error():
+    # Started with file descriptor 1 closed, Python sets sys.stdout to None.
+    proc = subprocess.run(
+        [sys.executable, "-m", "afsimplex.cli", "solve", "demos/walk.lp"],
+        cwd=os.path.join(os.path.dirname(__file__), os.pardir),
+        preexec_fn=lambda: os.close(1),
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    assert proc.returncode == 64
+    assert proc.stderr == "afsimplex: cannot write standard output: it is closed\n"
+
+
+def test_help_and_usage_go_to_stdout(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as stop:
+        main(["solve", "-h"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: afsimplex solve [-h]")
+    _build_parser().print_usage()
+    assert capsys.readouterr().out == _build_parser().format_usage()
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["--help"]) == 64
+    assert capsys.readouterr().err == "afsimplex: cannot write standard output: it is closed\n"
+
+
 # Every option string of each subcommand, and the fields of SolveConfig: a
 # flag or knob dropped, renamed or added has to change this table as well.
 CLI_SURFACE = {

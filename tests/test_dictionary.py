@@ -1,5 +1,7 @@
 """Dictionary pivots, feasibility flags, and the negative transpose."""
 
+import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 import afsimplex as af
 from afsimplex.dictionary import (
     Dictionary,
+    LabelKind,
+    artificial,
     ZeroPivot,
     initial_dictionary,
     slack,
@@ -308,3 +312,45 @@ def test_sigma_steps_on_the_cycler_rows(cycler_sp):
         _assert_well_formed(d)
         assert d.entries == reference
     assert d.num == start and d.den == 100
+
+
+@dataclass(frozen=True, order=True)
+class ReferenceLabel:
+    """Identity of a variable; ordering is structural < slack < artificial,
+    then by index, which gives the label-id order used by tie-breaks."""
+
+    kind: LabelKind
+    index: int
+
+    @property
+    def name(self) -> str:
+        prefix = {
+            LabelKind.STRUCTURAL: "x",
+            LabelKind.SLACK: "w",
+            LabelKind.ARTIFICIAL: "a",
+        }[self.kind]
+        return f"{prefix}{self.index}"
+
+    def __repr__(self) -> str:  # keeps test output readable
+        return self.name
+
+
+def test_label_keeps_the_dataclass_order_hash_equality_and_names():
+    made = [make(i) for make in (structural, slack, artificial) for i in (1, 2, 9, 10, 11)]
+    labels = made * 2
+    random.Random(5).shuffle(labels)
+    reference = [ReferenceLabel(label.kind, label.index) for label in labels]
+    assert [(l.kind, l.index) for l in sorted(labels)] == [
+        (l.kind, l.index) for l in sorted(reference)
+    ]
+    for label, ref in zip(labels, reference):
+        assert hash(label) == hash(ref)
+        assert label.name == ref.name and repr(label) == repr(ref)
+        assert label.kind is ref.kind
+        for other, other_ref in zip(labels, reference):
+            assert (label == other) == (ref == other_ref)
+            assert (label < other) == (ref < other_ref)
+    assert len(set(labels)) == len(made)
+    assert repr(tuple(made[:2])) == "(x1, x2)"
+    # As a tuple, a label now also equals its plain (kind, index) pair.
+    assert slack(3) == (LabelKind.SLACK, 3) == (1, 3)

@@ -1,14 +1,23 @@
 """Artificial-free phase 1: pricing, ratio rule, goldens, invariants."""
 
+import sys
 from fractions import Fraction as F
+from typing import Optional
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import afsimplex as af
-from afsimplex.dictionary import Dictionary, initial_dictionary, slack, structural
-from afsimplex.numeric import EXACT, FloatMode
+from afsimplex.dictionary import (
+    Dictionary,
+    artificial,
+    initial_dictionary,
+    slack,
+    structural,
+)
+from afsimplex.numeric import EXACT, FloatMode, Value
 from afsimplex.phase1 import (
+    break_tie,
     infeasibility_sum,
     infeasible_rows,
     phase1_objective_vector,
@@ -182,6 +191,146 @@ def test_leaving_rule_is_classical_on_feasible_dictionaries(d, m, tie_break):
     # phase 2 and the traditional method rely on this agreement
     m = min(m, d.n)
     assert select_leaving(d, m, tie_break) == classical_min_ratio(d, m, tie_break)
+
+
+def reference_select_leaving(
+    d: Dictionary, m: int, tie_break: TieBreak = TieBreak.SMALLEST_LABEL
+) -> tuple[Optional[int], Optional[Value]]:
+    """Ratio test over column m; returns (row, ratio), or (None, None)
+    when no row is eligible.
+
+    A row is eligible when rhs and column entry are both negative, or
+    when rhs is nonnegative and the entry is positive.  A row with rhs
+    zero and a negative entry is deliberately not eligible: pivoting
+    there would be the degenerate step the method exists to avoid.
+    Minimum ratio wins; ties fall to the configured rule, then to the
+    smallest basis label.  On a primal-feasible dictionary only the
+    second kind exists, so this is the classical minimum-ratio test, and
+    phase 2 and the traditional method use it as such.
+    """
+    mode = d.mode
+    best_row: Optional[int] = None
+    best_ratio: Optional[Value] = None
+    for i in range(1, d.m + 1):
+        rhs, entry = d.num[i][0], d.num[i][m]
+        entry_sign = mode.sign(entry)
+        if mode.sign(rhs) < 0:
+            eligible = entry_sign < 0
+        else:
+            eligible = entry_sign > 0
+        if not eligible:
+            continue
+        ratio = mode.div(rhs, entry)  # the common denominator cancels
+        if best_ratio is None or ratio < best_ratio:
+            best_row, best_ratio = i, ratio
+        elif ratio == best_ratio:
+            best_row = break_tie(d, m, best_row, i, tie_break)
+    return best_row, best_ratio
+
+
+# Small values, so that ratios tie; a zero right-hand side is common.
+RHS = st.integers(-2, 2).map(F)
+ENTRY = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def ratio_test_dictionaries(draw, mode):
+    """A dictionary of mixed-sign rows with rational entries (so D0 is
+    often 2, 3 or 6), labels of all three kinds in a drawn order, after up
+    to two arbitrary pivots, and a column to run the ratio test on."""
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 3))
+    labels = [slack(i + 1) for i in range(m)] + [structural(j + 1) for j in range(n)]
+    labels[draw(st.integers(0, m + n - 1))] = artificial(1)
+    labels = draw(st.permutations(labels))
+    rows = [tuple(draw(ENTRY) for _ in range(n + 1))]
+    rows += [(draw(RHS),) + tuple(draw(ENTRY) for _ in range(n)) for _ in range(m)]
+    if mode is not EXACT:
+        rows = [tuple(map(float, row)) for row in rows]
+    d = Dictionary(tuple(labels[:m]), tuple(labels[m:]), tuple(rows), mode)
+    for _ in range(draw(st.integers(0, 2))):
+        spots = _nonzero_spots(d)
+        if spots:
+            d = d.pivot(*draw(st.sampled_from(spots)))
+    return d, draw(st.integers(1, n))
+
+
+# Rows 1, 2 and 4 (w3, x2, a1) tie at ratio 1/2 with pivots -4/3, 4/3 and
+# 2/3 over D0 = 3; row 3 has rhs zero and a negative entry.
+TIED = Dictionary(
+    (slack(3), structural(2), slack(1), artificial(1)),
+    (structural(1),),
+    ((F(0), F(1)), (F(-2, 3), F(-4, 3)), (F(2, 3), F(4, 3)), (F(0), F(-1)),
+     (F(1, 3), F(2, 3))),
+)
+
+
+@given(ratio_test_dictionaries(EXACT), st.sampled_from(list(TieBreak)))
+@example((TIED, 1), TieBreak.SMALLEST_LABEL)
+@example((TIED, 1), TieBreak.SMALLEST_ABS_PIVOT)
+@example((TIED, 1), TieBreak.LARGEST_ABS_PIVOT)
+@settings(max_examples=400)
+def test_ratio_test_matches_reference(case, tie_break):
+    d, m = case
+    row, ratio = select_leaving(d, m, tie_break)
+    assert (row, ratio) == reference_select_leaving(d, m, tie_break)
+    assert ratio is None or type(ratio) is F
+
+
+@given(ratio_test_dictionaries(FloatMode(eps=1e-9)), st.sampled_from(list(TieBreak)))
+@settings(max_examples=400)
+def test_float_ratio_test_matches_reference(case, tie_break):
+    d, m = case
+    row, ratio = select_leaving(d, m, tie_break)
+    expected_row, expected = reference_select_leaving(d, m, tie_break)
+    assert row == expected_row
+    assert ratio is expected is None or ratio.hex() == expected.hex()
+
+
+def test_tied_ratios_follow_the_rule():
+    # x2 is the smallest label, a1 the smallest |pivot|; x2 wins the tie of
+    # the two largest |pivot|s by its label
+    assert select_leaving(TIED, 1, TieBreak.SMALLEST_LABEL) == (2, F(1, 2))
+    assert select_leaving(TIED, 1, TieBreak.SMALLEST_ABS_PIVOT) == (4, F(1, 2))
+    assert select_leaving(TIED, 1, TieBreak.LARGEST_ABS_PIVOT) == (2, F(1, 2))
+
+
+def fractions_built_during(fn, *args) -> int:
+    """How many times Fraction.__new__ runs while fn is on the stack."""
+    calls = 0
+    inside = 0
+    target, new = fn.__code__, F.__new__.__code__
+
+    def hook(frame, event, arg):
+        nonlocal calls, inside
+        if event == "call" and frame.f_code is target:
+            inside += 1
+        elif event == "return" and frame.f_code is target:
+            inside -= 1
+        elif event == "call" and frame.f_code is new and inside:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_exact_ratio_test_builds_at_most_one_fraction():
+    # 30 rational rows, every one eligible: 15 feasible rows with positive
+    # entries and 15 infeasible rows with negative ones.
+    rows = [(F(0), F(1))]
+    for i in range(1, 31):
+        sign = 1 if i % 2 else -1
+        rows.append((F(sign * (40 + i), 7), F(sign * (i + 3), 5)))
+    d = Dictionary(tuple(slack(i) for i in range(1, 31)), (structural(1),), tuple(rows))
+    assert d.den == 35
+    assert fractions_built_during(select_leaving, d, 1, TieBreak.SMALLEST_LABEL) <= 1
+    # the hook sees the reference's one Fraction per eligible row
+    assert fractions_built_during(reference_select_leaving, d, 1) >= 30
 
 
 def test_monitor_collects_checks(walk_sp):
