@@ -23,12 +23,11 @@ dictionary read the numerators directly; `entries`, `entry`, `rhs`,
 
 from __future__ import annotations
 
-import math
 from enum import IntEnum
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .model import StandardProblem
+from .model import StandardProblem, numerators
 from .numeric import EXACT, ExactMode, NumericMode, Value
 
 
@@ -78,13 +77,15 @@ class Dictionary:
     """An immutable simplex dictionary; see the module docstring.
 
     `Dictionary(basis, nonbasis, entries, mode)` takes the entry grid as
-    values.  In exact mode den starts as D0, the least common multiple of
-    the entries' denominators.  Every label keeps a scale for the
-    dictionary's lifetime: D0 if it was basic when the dictionary was
-    built, 1 otherwise (the negative transpose trades the two).  A pivot
-    multiplies all numerators and den by sigma = scale(leaving) /
-    scale(entering), which keeps every division exact on rational input;
-    on integer input D0 = 1 and sigma is always 1.
+    values and converts it with `model.numerators`, the conversion that
+    builds a problem's `StandardProblem.grid`; `from_numerators` takes
+    numerators as they are.  In exact mode den starts as D0, the least
+    common multiple of the entries' denominators.  Every label keeps a
+    scale for the dictionary's lifetime: D0 if it was basic when the
+    dictionary was built, 1 otherwise (the negative transpose trades the
+    two).  A pivot multiplies all numerators and den by sigma =
+    scale(leaving) / scale(entering), which keeps every division exact on
+    rational input; on integer input D0 = 1 and sigma is always 1.
     """
 
     __slots__ = (
@@ -107,18 +108,17 @@ class Dictionary:
                 raise ValueError("entry grid must have n+1 columns")
         if set(basis) & set(nonbasis):
             raise ValueError("a label cannot be basic and nonbasic at once")
-        if isinstance(mode, ExactMode):
-            fracs = [
-                [x if isinstance(x, (int, Fraction)) else mode.coerce(x) for x in row]
-                for row in rows
-            ]
-            den = math.lcm(*(x.denominator for row in fracs for x in row))
-            rows = tuple(
-                tuple(x.numerator * (den // x.denominator) for x in row) for row in fracs
-            )
-        else:
-            den = 1
-        self._set(basis, nonbasis, rows, den, mode, den, frozenset(basis))
+        num, den = numerators(rows, mode)
+        self._set(basis, nonbasis, num, den, mode, den, frozenset(basis))
+
+    @classmethod
+    def from_numerators(cls, basis, nonbasis, num, den, mode: NumericMode) -> "Dictionary":
+        """The dictionary whose entries are num[i][j] / den, den being its
+        D0 (1 in float mode), as the constructor would build it from those
+        values; the shape is the caller's to keep."""
+        d = object.__new__(cls)
+        d._set(basis, nonbasis, num, den, mode, den, frozenset(basis))
+        return d
 
     def _set(self, basis, nonbasis, num, den, mode, d0, scaled) -> None:
         self.basis = basis
@@ -300,12 +300,9 @@ class Dictionary:
 
 
 def initial_dictionary(sp: StandardProblem) -> Dictionary:
-    """Slack-basic starting dictionary: w_i = b_i - A_i . x, z = c . x."""
-    mode = sp.mode
-    top = tuple([mode.zero] + [-cj for cj in sp.c])
-    rows = [top]
-    for i in range(sp.m):
-        rows.append(tuple([sp.b[i]] + list(sp.A[i])))
+    """Slack-basic starting dictionary: w_i = b_i - A_i . x, z = c . x,
+    read from the problem's cached numerators `sp.grid`."""
+    num, den = sp.grid
     basis = tuple(slack(i + 1) for i in range(sp.m))
     nonbasis = tuple(structural(j + 1) for j in range(sp.p))
-    return Dictionary(basis, nonbasis, tuple(rows), mode)
+    return Dictionary.from_numerators(basis, nonbasis, num, den, sp.mode)

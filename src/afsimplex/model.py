@@ -4,9 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
+from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from typing import Iterable, Mapping
 
-from .numeric import EXACT, NumericMode, Value
+from .numeric import EXACT, ExactMode, NumericMode, Value
 
 
 class Sense(Enum):
@@ -106,8 +109,40 @@ class StandardProblem:
         for row in self.A:
             if len(row) != self.p:
                 raise ValueError("ragged constraint matrix")
-        if len(self.row_names) != self.m:
+        if len(self.A) != self.m or len(self.row_names) != self.m:
             raise ValueError("row metadata out of step with the matrix")
+
+    @cached_property
+    def grid(self) -> tuple[tuple[tuple, ...], int]:
+        """The slack-basic starting grid, rows [0 | -c] and [b_i | A_i],
+        as `numerators` over one common denominator D0; built once per
+        problem, and negated on the numerators."""
+        (top, *rows), den = numerators(
+            ((self.mode.zero, *self.c), *((b, *a) for b, a in zip(self.b, self.A))),
+            self.mode,
+        )
+        return ((top[0], *[-x for x in top[1:]]), *rows), den
+
+
+def numerators(rows: Iterable[Iterable], mode: NumericMode) -> tuple[tuple[tuple, ...], int]:
+    """A grid of values as (numerators, denominator).
+
+    In exact mode the denominator is D0, the least common multiple of the
+    entries' denominators, and the numerators are ints; an entry that is
+    neither an int nor a Fraction goes through `mode.coerce`, which
+    refuses a float.  In float mode the values are their own numerators
+    over 1.
+    """
+    if not isinstance(mode, ExactMode):
+        return tuple(map(tuple, rows)), 1
+    fracs = [
+        [x if isinstance(x, (int, Fraction)) else mode.coerce(x) for x in row]
+        for row in rows
+    ]
+    den = lcm(*[x.denominator for row in fracs for x in row])
+    return tuple(
+        tuple([x.numerator * (den // x.denominator) for x in row]) for row in fracs
+    ), den
 
 
 def standardize(gp: GeneralProblem) -> StandardProblem:

@@ -12,15 +12,17 @@ no nonzero entry in any unpivoted row prunes every superset.  At the last
 column the right-hand side alone decides feasibility, before any row is
 built; most bases fail there.  At a feasible basis every nonbasic column
 is already reduced, and each is tested as an edge direction for a
-feasible, objective-improving ray until one is found.  Fractions are
-built only for vertex coordinates and the objective value.
+feasible, objective-improving ray until one is found.  Vertices are
+told apart by an integer key, det and det·x over their gcd, so
+Fractions are built only for each distinct vertex: its coordinates and
+its objective value, once, however many bases share it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Optional
 
 from .model import StandardProblem
@@ -43,13 +45,20 @@ class OracleResult:
     vertices: tuple[tuple[Fraction, ...], ...]  # distinct, sorted
 
 
+def _integers(values, mode: ExactMode) -> tuple[list[int], int]:
+    """(numerators, scale): the values times their least common
+    denominator.  Entries other than ints and Fractions go through
+    `mode.coerce`, which refuses a float."""
+    fracs = [x if isinstance(x, (int, Fraction)) else mode.coerce(x) for x in values]
+    scale = lcm(*[x.denominator for x in fracs])
+    return [x.numerator * (scale // x.denominator) for x in fracs], scale
+
+
 def _integer_rows(sp: StandardProblem) -> list[list[int]]:
     """Row-scale [A | I | b] to integers (scaling keeps the x-geometry)."""
     rows: list[list[int]] = []
     for i in range(sp.m):
-        values = [Fraction(x) for x in sp.A[i]] + [Fraction(sp.b[i])]
-        scale = lcm(*(v.denominator for v in values))
-        *coeffs, rhs = (int(v * scale) for v in values)
+        (*coeffs, rhs), scale = _integers((*sp.A[i], sp.b[i]), sp.mode)
         slack_part = [scale if k == i else 0 for k in range(sp.m)]
         rows.append(coeffs + slack_part + [rhs])
     return rows
@@ -98,11 +107,12 @@ def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
             raise TooLarge(f"the walk's {steps} steps of {m} rows exceed guard {guard}")
         return _pivot(a, r, j, prev)
 
-    c_den = lcm(*(Fraction(x).denominator for x in sp.c))
-    c = [int(Fraction(x) * c_den) for x in sp.c] + [0] * m  # c_den * c, slacks 0
+    c, c_den = _integers(sp.c, sp.mode)
+    c += [0] * m  # c_den * c, slacks 0
 
     feasible = unbounded = False
-    vertices: set[tuple[Fraction, ...]] = set()
+    # (det, det * x) over their gcd, det > 0 -> the vertex x as Fractions
+    vertices: dict[tuple[int, ...], tuple[Fraction, ...]] = {}
     best: Optional[Fraction] = None
     best_vertex: Optional[tuple[Fraction, ...]] = None
 
@@ -139,11 +149,15 @@ def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
             det, done = p, step(a, r, j, prev)
             basis = dict(zip(cols + (j,), pivots + (r,)))  # basic column -> its row
             x = {k: done[i][-1] for k, i in basis.items()}  # det * x_B
-            vertex = tuple(Fraction(x.get(k, 0), det) for k in range(sp.p))
-            vertices.add(vertex)
-            value = Fraction(sum(c[k] * v for k, v in x.items()), c_den * det)
-            if best is None or value > best or (value == best and vertex < best_vertex):
-                best, best_vertex = value, vertex
+            coords = [x.get(k, 0) for k in range(sp.p)]
+            g = gcd(det, *coords) if det > 0 else -gcd(det, *coords)
+            key = (det // g, *[v // g for v in coords])
+            if key not in vertices:
+                # A vertex seen before has already had its turn at best.
+                vertex = vertices[key] = tuple([Fraction(v, det) for v in coords])
+                value = Fraction(sum(c[k] * v for k, v in x.items()), c_den * det)
+                if best is None or value > best or (value == best and vertex < best_vertex):
+                    best, best_vertex = value, vertex
             # Nonbasic column k holds det * (the basis response to raising
             # x_k), and its reduced cost is (c_k*det - gain) / (c_den*det).
             # The flag never turns false, so once set no edge is tested.
@@ -163,5 +177,5 @@ def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
         unbounded=unbounded,
         optimal_value=best,
         optimal_vertex=best_vertex,
-        vertices=tuple(sorted(vertices)),
+        vertices=tuple(sorted(vertices.values())),
     )

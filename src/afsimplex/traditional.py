@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .dictionary import Dictionary, LabelKind, artificial, slack, structural
+from .dictionary import Dictionary, LabelKind, artificial, initial_dictionary, slack
 from .model import StandardProblem
-from .numeric import Value
+from .numeric import ExactMode, Value
 from .phase1 import row_sum, select_entering, select_leaving
 from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
@@ -51,7 +51,7 @@ class AuxiliaryDictionary:
 
     def infeasibility(self) -> Value:
         """Total value of the basic artificials (= minus the row's value)."""
-        return -self.inner.value(self.aux_num[0])
+        return self.inner.value(-self.aux_num[0])
 
     def conjugate_column(self, row: int) -> int:
         """Nonbasis position of the slack conjugate to the artificial in
@@ -99,24 +99,26 @@ def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
 
     Rows with b_i >= 0 keep their slack basic; rows with b_i < 0 get a
     basic artificial (value -b_i > 0) and contribute their slack as a
-    nonbasic column.  The auxiliary row expresses minus the artificial
-    total over the nonbasic columns.
+    nonbasic column.  The numerators are those of `initial_dictionary`,
+    over the same D0, with the rows of b_i < 0 negated and one column of
+    -1 (numerator -D0) per artificial.  The auxiliary row expresses minus
+    the artificial total over the nonbasic columns.
     """
-    mode = sp.mode
-    zero = mode.zero
-    negative = [i for i in range(sp.m) if mode.sign(sp.b[i]) < 0]
+    d = initial_dictionary(sp)
+    mode = d.mode
+    negative = [i for i in range(1, d.m + 1) if mode.sign(d.num[i][0]) < 0]
+    if isinstance(mode, ExactMode):
+        zero, unit = 0, -d.den
+    else:
+        zero, unit = mode.zero, mode.coerce(-1)
     pad = (zero,) * len(negative)
-    rows = [(zero, *[-cj for cj in sp.c], *pad)]
-    for i in range(sp.m):
-        if i not in negative:
-            rows.append((sp.b[i], *sp.A[i], *pad))
-            continue
-        k = negative.index(i)
-        unit = pad[:k] + (mode.coerce(-1),) + pad[k + 1 :]
-        rows.append((-sp.b[i], *[-a for a in sp.A[i]], *unit))
-    basis = [artificial(i + 1) if i in negative else slack(i + 1) for i in range(sp.m)]
-    columns = [structural(j + 1) for j in range(sp.p)] + [slack(i + 1) for i in negative]
-    inner = Dictionary(basis, columns, rows, mode)
+    rows = [row + pad for row in d.num]
+    basis = list(d.basis)
+    for k, i in enumerate(negative):
+        rows[i] = (*[-x for x in d.num[i]], *pad[:k], unit, *pad[k + 1 :])
+        basis[i - 1] = artificial(i)
+    columns = d.nonbasis + tuple(slack(i) for i in negative)
+    inner = Dictionary.from_numerators(tuple(basis), columns, tuple(rows), d.den, mode)
     # The auxiliary row is minus the sum of the artificial rows.
     aux = tuple(-x for x in row_sum(inner, artificial_rows(inner)))
     return AuxiliaryDictionary(inner, aux)

@@ -1,4 +1,6 @@
 import os
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -83,3 +85,27 @@ def replayed_pricing(sp: af.StandardProblem, trace: af.Trace) -> list:
         pricing.append(phase1_objective_vector(d, af.infeasible_rows(d)))
         d = d.pivot(d.basis.index(rec.leaving) + 1, d.nonbasis.index(rec.entering) + 1)
     return pricing
+
+
+def fractions_built_during(fn, *args) -> int:
+    """How many times Fraction.__new__ runs while fn is on the stack."""
+    calls = 0
+    inside = 0
+    target, new = fn.__code__, Fraction.__new__.__code__
+
+    def hook(frame, event, arg):
+        nonlocal calls, inside
+        if event == "call" and frame.f_code is target:
+            inside += 1
+        elif event == "return" and frame.f_code is target:
+            inside -= 1
+        elif event == "call" and frame.f_code is new and inside:
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls

@@ -80,8 +80,10 @@ _EMPTY = "standard problem needs at least one row and column"
          "ragged constraint matrix"),
         (((1,),), (1,), ("x",), ("c1", "c2"), ValueError,
          "row metadata out of step with the matrix"),
+        (((1,), (2,)), (1,), ("x",), ("c1",), ValueError,
+         "row metadata out of step with the matrix"),
     ],
-    ids=["no-rows", "no-columns", "ragged", "row-names"],
+    ids=["no-rows", "no-columns", "ragged", "row-names", "extra-row"],
 )
 def test_standard_problem_rejects_a_malformed_shape(A, b, variables, row_names, error, message):
     with pytest.raises(error, match=f"^{message}$"):

@@ -19,7 +19,7 @@ from afsimplex.model import Constraint, GeneralProblem, Relation, Sense, Standar
 from afsimplex.numeric import ExactMode, FloatMode
 from afsimplex.oracle import OracleResult, TooLarge, enumerate_vertices
 
-from conftest import problem_from, x1_bounds_text
+from conftest import fractions_built_during, problem_from, x1_bounds_text
 
 
 def test_walk_vertices(walk_sp):
@@ -100,6 +100,35 @@ def test_float_mode_rejected():
     enumerate_vertices(sp)  # exact mode is fine
     with pytest.raises(ValueError, match="exact"):
         enumerate_vertices(float_sp)
+
+
+@pytest.mark.parametrize(
+    "A, b, c",
+    [
+        (((1, 0.5),), (3,), (1, 1)),
+        (((1, 2),), (0.5,), (1, 1)),
+        (((1, 2),), (3,), (1, 0.5)),
+    ],
+    ids=["A", "b", "c"],
+)
+def test_float_in_an_exact_problem_refused(A, b, c):
+    # Read as its binary fraction, A = ((1, 0.5),) would give the vertex
+    # (0, 6); the oracle refuses it as the starting dictionaries do.
+    sp = StandardProblem(A, b, c, ("x", "y"), ("c1",), False)
+    for start in (enumerate_vertices, af.initial_dictionary, af.build_auxiliary):
+        with pytest.raises(TypeError, match=r"^float 0\.5 given in exact mode"):
+            start(sp)
+
+
+def test_a_vertex_shared_by_several_bases_is_built_once():
+    # (1, 1) is tight on all three rows, so three feasible bases share it:
+    # six feasible bases, four vertices.
+    sp = problem_from("max: x1 + x2;\nc1: x1 <= 1;\nc2: x2 <= 1;\nc3: x1 + x2 <= 2;\n")
+    assert len(enumerate_vertices(sp).vertices) == 4
+    # two coordinates and one objective value per distinct vertex
+    assert fractions_built_during(enumerate_vertices, sp) == 4 * 3
+    # the reference builds them at every feasible basis
+    assert fractions_built_during(reference_enumerate_vertices, sp) >= 6 * 3
 
 
 def test_ties_resolved_to_lexicographically_smallest_vertex():

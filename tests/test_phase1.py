@@ -1,6 +1,5 @@
 """Artificial-free phase 1: pricing, ratio rule, goldens, invariants."""
 
-import sys
 from fractions import Fraction as F
 from typing import Optional
 
@@ -27,7 +26,7 @@ from afsimplex.phase1 import (
 )
 from afsimplex.trace import Decision, SolveConfig, Status, TieBreak
 
-from conftest import problem_from, replayed_pricing
+from conftest import fractions_built_during, problem_from, replayed_pricing
 
 
 def test_walk_golden_trace(walk_sp):
@@ -293,30 +292,6 @@ def test_tied_ratios_follow_the_rule():
     assert select_leaving(TIED, 1, TieBreak.SMALLEST_LABEL) == (2, F(1, 2))
     assert select_leaving(TIED, 1, TieBreak.SMALLEST_ABS_PIVOT) == (4, F(1, 2))
     assert select_leaving(TIED, 1, TieBreak.LARGEST_ABS_PIVOT) == (2, F(1, 2))
-
-
-def fractions_built_during(fn, *args) -> int:
-    """How many times Fraction.__new__ runs while fn is on the stack."""
-    calls = 0
-    inside = 0
-    target, new = fn.__code__, F.__new__.__code__
-
-    def hook(frame, event, arg):
-        nonlocal calls, inside
-        if event == "call" and frame.f_code is target:
-            inside += 1
-        elif event == "return" and frame.f_code is target:
-            inside -= 1
-        elif event == "call" and frame.f_code is new and inside:
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(hook)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(previous)
-    return calls
 
 
 def test_exact_ratio_test_builds_at_most_one_fraction():

@@ -11,6 +11,7 @@ from afsimplex.dictionary import (
     Label,
     LabelKind,
     artificial,
+    initial_dictionary,
     slack,
     structural,
 )
@@ -24,7 +25,8 @@ from afsimplex.traditional import (
 )
 from afsimplex.trace import SolveConfig, Status, TieBreak
 
-from conftest import problem_from
+from conftest import fractions_built_during, problem_from
+from test_dictionary import reference_pivot
 
 
 def recomputed_phase1_row(aux: AuxiliaryDictionary):
@@ -310,3 +312,65 @@ def test_build_auxiliary_matches_reference(sp):
     # zeros is -0.0, and its row is 0.0s where there is no artificial to
     # sum: equal values, not equal bits.
     assert aux.aux_num == ref.aux_num
+
+
+def _assert_same_start(got: Dictionary, want: Dictionary) -> None:
+    assert got.basis == want.basis
+    assert got.nonbasis == want.nonbasis
+    assert got.num == want.num
+    assert repr(got.num) == repr(want.num)  # signed zeros and int/float too
+    assert got.den == want.den
+    assert got._d0 == want._d0
+    assert got._scaled == want._scaled
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_problems(), st.data())
+def test_starting_dictionaries_match_the_value_grid(sp, data):
+    # Both starts come from the problem's numerators; the constructor
+    # reads the same grid as values.  Walked by the textbook formula on
+    # the values, they stay equal: in exact mode every sigma (D0 on the
+    # first pivot out of a scaled label, 1/D0 back) divides exactly, and
+    # a float pivot makes the formula's operations in its order.
+    mode = sp.mode
+    values = ((mode.zero, *[-x for x in sp.c]), *((b, *a) for b, a in zip(sp.b, sp.A)))
+    basis = tuple(slack(i + 1) for i in range(sp.m))
+    nonbasis = tuple(structural(j + 1) for j in range(sp.p))
+    aux = build_auxiliary(sp)
+    _assert_same_start(initial_dictionary(sp), Dictionary(basis, nonbasis, values, mode))
+    _assert_same_start(aux.inner, reference_build_auxiliary(sp).inner)
+    for d, extra in ((initial_dictionary(sp), None), (aux.inner, aux.aux_num)):
+        reference = d.entries + ((tuple(map(d.value, extra)),) if extra is not None else ())
+        for _ in range(data.draw(st.integers(0, 4))):
+            spots = [
+                (i, j)
+                for i in range(1, d.m + 1)
+                for j in range(1, d.n + 1)
+                if mode.sign(reference[i][j]) != 0
+            ]
+            if not spots:
+                break
+            r, m = data.draw(st.sampled_from(spots))
+            if extra is not None:
+                extra = d.carry(extra, r, m)
+            d = d.pivot(r, m)
+            reference = reference_pivot(reference, r, m)
+            assert d.den > 0
+            got = d.entries + ((tuple(map(d.value, extra)),) if extra is not None else ())
+            assert got == reference
+            assert repr(got) == repr(reference)
+
+
+def test_starting_dictionaries_build_no_fraction():
+    # D0 = 6, and rows 2 and 3 have b < 0, so the auxiliary start negates
+    # them and adds two artificials.
+    text = "max: 1/2 x1 + x2;\nc1: x1 + 1/3 x2 <= 4;\nc2: x1 >= 1/2;\nc3: x1 + x2 >= 2;\n"
+    for start in (initial_dictionary, build_auxiliary):
+        sp = problem_from(text)  # a fresh problem, whose numerators are not yet cached
+        assert fractions_built_during(start, sp) == 0
+    sp = problem_from(text)
+    inner = build_auxiliary(sp).inner
+    assert inner.den == 6
+    assert len(artificial_rows(inner)) == 2
+    # the hook sees the reference negate b, A and c as Fractions
+    assert fractions_built_during(reference_build_auxiliary, sp) > 0
