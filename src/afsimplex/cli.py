@@ -260,6 +260,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if args.guard < 1:
+        raise _UsageError("--guard must be at least 1")
     sp = _read_problem(args.file, EXACT)
     try:
         result = enumerate_vertices(sp, guard=args.guard)

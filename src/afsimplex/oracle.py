@@ -8,7 +8,14 @@ The subsets are walked depth first over basis prefixes, in increasing
 column order, with an explicit stack.  Each step adds one column by one
 integer-preserving Gauss-Jordan step on [A | I | b] (Edmonds/Bareiss), so
 a prefix is eliminated once for all of its extensions, and a column with
-no nonzero entry in any unpivoted row prunes every superset.  At the last
+no nonzero entry in any unpivoted row prunes every superset.  A prefix
+also pushes no extensions when one of its rows cannot hold.  Every column
+outside the basis is 0, so row i reads sum a_ik*y_k = rhs_i over the
+prefix's columns and the columns after its last, with y >= 0; when
+rhs_i != 0 and none of those entries shares its sign, no basis that
+extends the prefix is feasible.  In Gauss-Jordan form a prefix column is
+0 outside its own pivot row and holds the last pivot there, so the test
+reads only the later columns and, on a pivot row, that pivot.  At the last
 column the right-hand side alone decides feasibility, before any row is
 built; most bases fail there.  At a feasible basis every nonbasic column
 is already reduced, and each is tested as an edge direction for a
@@ -125,6 +132,16 @@ def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
         free = [i for i in range(m) if i not in pivots]
         first = cols[-1] + 1 if cols else 0
         if len(free) > 1:
+            # Row i reads (prev * y_c, if i pivots the prefix column c)
+            # + row[first:-1] . y = rhs_i in every extension, with y >= 0:
+            # no extension is feasible if nothing can match the sign of rhs_i.
+            if any(
+                row[-1]
+                and (row[-1] * prev < 0 or i in free)
+                and (max(row[first:-1]) <= 0 if row[-1] > 0 else min(row[first:-1]) >= 0)
+                for i, row in enumerate(a)
+            ):
+                continue
             for j in range(total_cols - len(free), first - 1, -1):
                 # No nonzero entry in a free row: every basis holding this
                 # prefix and j is singular.

@@ -72,7 +72,7 @@ def problem_from(text: str) -> af.StandardProblem:
 
 def x1_bounds_text(rows: int) -> str:
     """`max: x1` under the rows x1 <= 1, ..., x1 <= rows: m + 1 bases but
-    a walk whose cost grows with m."""
+    a walk of 4m - 5 Gauss-Jordan steps (m >= 3), each over all m rows."""
     return "max: x1;\n" + "".join(f"x1 <= {k};\n" for k in range(1, rows + 1))
 
 

@@ -237,8 +237,17 @@ def test_oracle_guard_refusal(lp_file, capsys):
 
 def test_oracle_guard_counts_the_walks_row_updates(lp_file, capsys):
     assert main(["oracle", lp_file(x1_bounds_text(120))]) == 0
-    assert main(["oracle", lp_file(x1_bounds_text(240))]) == 64
+    # 241 bases, but 229,200 row updates
+    assert main(["oracle", lp_file(x1_bounds_text(240)), "--guard", "200000"]) == 64
     assert "exceed guard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("guard", ["0", "-5"])
+def test_oracle_guard_below_one_is_usage_error(lp_file, capsys, guard):
+    assert main(["oracle", lp_file(WALK_TEXT), "--guard", guard]) == 64
+    captured = capsys.readouterr()
+    assert captured.err == "afsimplex: --guard must be at least 1\n"
+    assert captured.out == ""
 
 
 def test_console_script_smoke(tmp_path):

@@ -10,10 +10,11 @@ from math import comb, lcm
 from typing import Optional
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afsimplex as af
+from afsimplex import oracle
 from afsimplex.generate import Shape, generate_lp
 from afsimplex.model import Constraint, GeneralProblem, Relation, Sense, StandardProblem
 from afsimplex.numeric import ExactMode, FloatMode
@@ -87,11 +88,20 @@ def test_guard_counts_the_walks_row_updates(walk_sp):
     # C(7, 5) = 21 bases pass a guard of 21, but 5 steps of 5 rows do not.
     with pytest.raises(TooLarge, match="walk"):
         enumerate_vertices(walk_sp, guard=21)
-    # 120 rows: 7,261 steps, about 0.87 M row updates, under the default.
+    # 120 rows: 475 steps, 57,000 row updates, under the default.
     assert enumerate_vertices(problem_from(x1_bounds_text(120))).optimal_value == F(1)
-    # 240 rows: 241 bases, but 28,921 steps, about 6.9 M row updates.
+    # 240 rows: 241 bases, but 955 steps, 229,200 row updates.
     with pytest.raises(TooLarge, match="walk"):
-        enumerate_vertices(problem_from(x1_bounds_text(240)))
+        enumerate_vertices(problem_from(x1_bounds_text(240)), guard=200_000)
+
+
+def test_walk_prunes_prefixes_that_no_feasible_basis_extends(monkeypatch):
+    # Without the prune, the 120-row walk takes 7,261 steps.
+    steps = []
+    pivot = oracle._pivot
+    monkeypatch.setattr(oracle, "_pivot", lambda *args: steps.append(1) or pivot(*args))
+    assert enumerate_vertices(problem_from(x1_bounds_text(120))).optimal_value == F(1)
+    assert len(steps) == 475
 
 
 def test_float_mode_rejected():
@@ -302,6 +312,11 @@ def small_problems(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(small_problems())
+# c1 reads x1 + s1 = -1: a free row prunes the root.
+@example(problem_from("max: x1;\nc1: -x1 >= 1;\nc2: x1 <= 1;\n"))
+# c1 reads -x1 + s1 = -1: the prefix (s1), with x1 passed by, pivots on
+# c1 and fixes s1 = -1.
+@example(problem_from("max: x1;\nc1: x1 >= 1;\nc2: -x1 >= 0;\nc3: x1 <= 2;\n"))
 def test_oracle_matches_reference_enumeration(sp):
     assert sp.m <= 4 and sp.p <= 4
     assert enumerate_vertices(sp) == reference_enumerate_vertices(sp)
