@@ -4,171 +4,168 @@ Every number is emitted as an exact {"num": ..., "den": ...} pair so that
 output bytes are stable across runs and platforms.  Float-mode values are
 converted through their exact binary expansion.
 
-The text is written here, not by `json.dumps`: two-space indent, `",\n"`
-between items, `": "` after keys, keys in build order, ASCII-only string
-escapes and one trailing newline.  These are the bytes that
-`json.dumps(payload, indent=2) + "\n"` gives, with every `(num, den)`
-tuple written as a two-item array.
+The text is written straight from the records: one template per record
+kind (a pair, a named value, a pivot entry, a corner) with constant keys,
+and every fragment of a document appended to one list that is joined
+once.  Each trace corner is formatted once, at the indent of `corners`,
+and its pivot entry reuses that text two spaces deeper.  The bytes are
+those of `json.dumps(payload, indent=2) + "\n"` for the payload the
+records describe.
 """
 
 from __future__ import annotations
 
 import sys
-from json.encoder import encode_basestring_ascii
-from typing import Any
+from json.encoder import encode_basestring_ascii as _string
 
 from .harness import ComparisonReport, SolveOutcome
 from .numeric import Value
 from .oracle import OracleResult
 from .trace import Trace
 
+_BOOL = ("false", "true")
 
-def _rational(x: Value) -> dict[str, int]:
+
+def _rational(x: Value, indent: str) -> str:
+    """x as a {"num", "den"} object whose closing brace sits at `indent`."""
     num, den = x.as_integer_ratio()
-    return {"num": num, "den": den}
+    return f'{{\n{indent}  "num": {num},\n{indent}  "den": {den}\n{indent}}}'
 
 
-def _corner(values) -> list[tuple[int, int]]:
-    return [v.as_integer_ratio() for v in values]
+def _corner(values, indent: str) -> str:
+    """values as an array of [num, den] arrays whose closing bracket sits at `indent`."""
+    if not values:
+        return "[]"
+    pair, item = indent + "  ", indent + "    "
+    mid, sep = f",\n{item}", f"\n{pair}],\n{pair}[\n{item}"
+    body = sep.join([f"{num}{mid}{den}" for num, den in [v.as_integer_ratio() for v in values]])
+    return f"[\n{pair}[\n{item}{body}\n{pair}]\n{indent}]"
 
 
-def _trace_dict(trace: Trace) -> dict[str, Any]:
-    # The walk is the starting corner and then each pivot's corner, so one
-    # list of pairs per corner serves both `corners` and its entry.
-    corners = [_corner(c) for c in trace.corners]
-    entries = [
-        {
-            "iter": iteration,
-            "entering": rec.entering.name,
-            "leaving": rec.leaving.name,
-            "ratio": _rational(rec.ratio),
-            "degenerate": rec.degenerate,
-            "infeasibility_sum": _rational(rec.infeasibility_after),
-            "corner": corner,
-        }
-        for iteration, (rec, corner) in enumerate(zip(trace.records, corners[1:]), start=1)
-    ]
-    return {
-        "method": trace.method,
-        "status": trace.status.value,
-        "pivots": trace.pivots,
-        "degenerate_pivots": trace.degenerate_pivots,
-        "corners": corners,
-        "entries": entries,
-    }
+def _array(out: list[str], items, indent: str) -> None:
+    """Append texts already written at `indent + "  "` as an array closing at `indent`."""
+    sep = f",\n{indent}  "
+    out.append(f"[\n{indent}  ")
+    for text in items:
+        out.append(text)
+        out.append(sep)
+    out[-1] = f"\n{indent}]" if items else "[]"
 
 
-def _encode(obj: Any, indent: str) -> str:
-    """`obj` as indent-2 JSON whose closing bracket sits at `indent`."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = indent + "  "
-    if isinstance(obj, tuple):
-        num, den = obj
-        return f"[\n{inner}{num},\n{inner}{den}\n{indent}]"
-    if isinstance(obj, list):
-        if not obj:
-            return "[]"
-        if all([type(v) is tuple for v in obj]):
-            # A corner: every item is a (num, den) pair.
-            head, mid, tail = f"{inner}[\n{inner}  ", f",\n{inner}  ", f"\n{inner}]"
-            items = ",\n".join([f"{head}{num}{mid}{den}{tail}" for num, den in obj])
-            return f"[\n{items}\n{indent}]"
-        items = ",\n".join([inner + _encode(v, inner) for v in obj])
-        return f"[\n{items}\n{indent}]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            [f"{inner}{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in obj.items()]
+def _named(name: str, value: Value, indent: str) -> str:
+    """A {"var", "num", "den"} object whose closing brace sits at `indent`."""
+    num, den = value.as_integer_ratio()
+    key = indent + "  "
+    return f'{{\n{key}"var": {_string(name)},\n{key}"num": {num},\n{key}"den": {den}\n{indent}}}'
+
+
+def _trace(out: list[str], trace: Trace) -> None:
+    """Append a solve trace as the value of a top-level key."""
+    corners = [_corner(c, "      ") for c in trace.corners]
+    out.append(
+        f'{{\n    "method": {_string(trace.method)},\n'
+        f'    "status": {_string(trace.status.value)},\n'
+        f'    "pivots": {trace.pivots},\n'
+        f'    "degenerate_pivots": {trace.degenerate_pivots},\n    "corners": '
+    )
+    _array(out, corners, "    ")
+    out.append(',\n    "entries": ')
+    if not trace.records:
+        out.append("[]\n  }")
+        return
+    out.append("[\n")
+    for iteration, (rec, corner) in enumerate(zip(trace.records, corners[1:]), start=1):
+        ratio_num, ratio_den = rec.ratio.as_integer_ratio()
+        sum_num, sum_den = rec.infeasibility_after.as_integer_ratio()
+        out.append(
+            f'      {{\n        "iter": {iteration},\n'
+            f'        "entering": {_string(rec.entering.name)},\n'
+            f'        "leaving": {_string(rec.leaving.name)},\n'
+            f'        "ratio": {{\n          "num": {ratio_num},\n'
+            f'          "den": {ratio_den}\n        }},\n'
+            f'        "degenerate": {_BOOL[rec.degenerate]},\n'
+            f'        "infeasibility_sum": {{\n          "num": {sum_num},\n'
+            f'          "den": {sum_den}\n        }},\n        "corner": '
         )
-        return f"{{\n{items}\n{indent}}}"
-    raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+        out.append(corner.replace("\n", "\n  "))
+        out.append("\n      },\n")
+    out[-1] = "\n      }\n    ]\n  }"
 
 
-def _dump(payload: Any) -> str:
-    # An exact value may have more digits than Python's int-to-string limit
-    # allows; the limit is lifted for this call only.
+def _written(write, record) -> str:
+    """The document `write(out, record)` appends, with its trailing newline."""
+    # Exact values may pass Python's int-to-string digit limit; lift it for this call.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        return _encode(payload, "") + "\n"
+        out = ["{\n  "]
+        write(out, record)
+        out.append("\n}\n")
+        return "".join(out)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
 
 
-def outcome_to_dict(outcome: SolveOutcome) -> dict[str, Any]:
-    payload: dict[str, Any] = {"status": outcome.status.value}
+def _outcome(out: list[str], outcome: SolveOutcome) -> None:
+    out.append(f'"status": {_string(outcome.status.value)}')
     if outcome.objective is not None:
-        payload["objective"] = _rational(outcome.objective)
+        out.append(',\n  "objective": ' + _rational(outcome.objective, "  "))
     if outcome.solution:
-        payload["solution"] = [
-            {"var": name, **_rational(value)}
-            for name, value in outcome.solution.items()
-        ]
-    certs = outcome.certificates
-    certificates: dict[str, Any] = {}
-    if certs.infeasible_rows is not None:
-        certificates["infeasible_rows"] = list(certs.infeasible_rows)
-    if certs.ray is not None:
-        certificates["ray"] = [
-            {"var": name, **_rational(value)} for name, value in certs.ray.items()
-        ]
-    payload["certificates"] = certificates
-    payload["phase1"] = _trace_dict(outcome.phase1)
+        out.append(',\n  "solution": ')
+        _array(out, [_named(k, v, "    ") for k, v in outcome.solution.items()], "  ")
+    rows, ray = outcome.certificates.infeasible_rows, outcome.certificates.ray
+    out.append(',\n  "certificates": {')
+    if rows is not None:
+        out.append('\n    "infeasible_rows": ')
+        _array(out, [_string(name) for name in rows], "    ")
+    if ray is not None:
+        out.append(',\n    "ray": ' if rows is not None else '\n    "ray": ')
+        _array(out, [_named(k, v, "      ") for k, v in ray.items()], "    ")
+    out.append("}" if rows is None and ray is None else "\n  }")
+    out.append(',\n  "phase1": ')
+    _trace(out, outcome.phase1)
     if outcome.phase2 is not None:
-        payload["phase2"] = _trace_dict(outcome.phase2)
-    return payload
+        out.append(',\n  "phase2": ')
+        _trace(out, outcome.phase2)
 
 
 def emit_outcome_json(outcome: SolveOutcome) -> str:
-    return _dump(outcome_to_dict(outcome))
+    return _written(_outcome, outcome)
 
 
-def report_to_dict(report: ComparisonReport) -> dict[str, Any]:
-    def summary(trace: Trace) -> dict[str, Any]:
-        return {
-            "verdict": trace.status.value,
-            "pivots": trace.pivots,
-            "degenerate_pivots": trace.degenerate_pivots,
-            "corners": [_corner(c) for c in trace.deduplicated_corners()],
-        }
-
-    return {
-        "verdict": report.verdict.value,
-        "artificial_free": summary(report.af),
-        "traditional": summary(report.traditional),
-        "corners_equal": report.corners_equal,
-        "af_pivots_le_traditional": report.af_pivots_le_traditional,
-    }
+def _report(out: list[str], report: ComparisonReport) -> None:
+    out.append(f'"verdict": {_string(report.verdict.value)}')
+    for key, trace in (("artificial_free", report.af), ("traditional", report.traditional)):
+        out.append(
+            f',\n  "{key}": {{\n    "verdict": {_string(trace.status.value)},\n'
+            f'    "pivots": {trace.pivots},\n'
+            f'    "degenerate_pivots": {trace.degenerate_pivots},\n    "corners": '
+        )
+        _array(out, [_corner(c, "      ") for c in trace.deduplicated_corners()], "    ")
+        out.append("\n  }")
+    out.append(
+        f',\n  "corners_equal": {_BOOL[report.corners_equal]},\n'
+        f'  "af_pivots_le_traditional": {_BOOL[report.af_pivots_le_traditional]}'
+    )
 
 
 def emit_report_json(report: ComparisonReport) -> str:
-    return _dump(report_to_dict(report))
+    return _written(_report, report)
 
 
-def oracle_to_dict(result: OracleResult) -> dict[str, Any]:
-    payload: dict[str, Any] = {
-        "feasible": result.feasible,
-        "unbounded": result.unbounded,
-    }
+def _oracle(out: list[str], result: OracleResult) -> None:
+    out.append(
+        f'"feasible": {_BOOL[result.feasible]},\n  "unbounded": {_BOOL[result.unbounded]}'
+    )
     if result.optimal_value is not None:
-        payload["optimal_value"] = _rational(result.optimal_value)
+        out.append(',\n  "optimal_value": ' + _rational(result.optimal_value, "  "))
     if result.optimal_vertex is not None:
-        payload["optimal_vertex"] = _corner(result.optimal_vertex)
-    payload["vertices"] = [_corner(v) for v in result.vertices]
-    return payload
+        out.append(',\n  "optimal_vertex": ' + _corner(result.optimal_vertex, "  "))
+    out.append(',\n  "vertices": ')
+    _array(out, [_corner(v, "    ") for v in result.vertices], "  ")
 
 
 def emit_oracle_json(result: OracleResult) -> str:
-    return _dump(oracle_to_dict(result))
+    return _written(_oracle, result)

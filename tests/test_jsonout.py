@@ -3,25 +3,23 @@
 import json
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
+from typing import Any
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import afsimplex as af
-from afsimplex.harness import Method, compare, solve
-from afsimplex.jsonout import (
-    _dump,
-    emit_oracle_json,
-    emit_outcome_json,
-    emit_report_json,
-    outcome_to_dict,
-)
-from afsimplex.numeric import FloatMode
-from afsimplex.trace import SolveConfig
+from afsimplex.harness import Certificates, ComparisonReport, Method, SolveOutcome, compare, solve
+from afsimplex.jsonout import emit_oracle_json, emit_outcome_json, emit_report_json
+from afsimplex.numeric import FloatMode, Value
+from afsimplex.oracle import OracleResult
+from afsimplex.trace import PivotRecord, SolveConfig, Status, Trace
 
-from conftest import problem_from
+from conftest import WALK_TEXT, problem_from
 
 
 def test_outcome_bytes_are_deterministic(walk_sp):
@@ -29,13 +27,6 @@ def test_outcome_bytes_are_deterministic(walk_sp):
     assert emit_outcome_json(out) == emit_outcome_json(out)
     again = solve(walk_sp, Method.ARTIFICIAL_FREE, SolveConfig())
     assert emit_outcome_json(again) == emit_outcome_json(out)
-
-
-def test_trace_corners_are_built_once(walk_sp):
-    trace = outcome_to_dict(solve(walk_sp, Method.ARTIFICIAL_FREE, SolveConfig()))["phase1"]
-    assert trace["entries"]
-    for k, entry in enumerate(trace["entries"]):
-        assert entry["corner"] is trace["corners"][k + 1]
 
 
 def test_outcome_schema_optimal():
@@ -136,79 +127,6 @@ def test_oracle_json_bounded():
     assert doc["optimal_vertex"] == [[1, 3]]
 
 
-TRICKY_TEXT = [
-    '"', "\\", "\x00", "\x1f", "\x7f",
-    "\n\t\r", "\u00e9", "\u4e00", "\U0001f600",
-    "\ud800", "/",
-]
-
-
-def huge_int(digits: int, negative: bool) -> int:
-    value = 10 ** (digits - 1) + 12345
-    return -value if negative else value
-
-
-INTEGERS = st.integers() | st.builds(huge_int, st.integers(4301, 4400), st.booleans())
-LEAVES = st.one_of(
-    st.none(),
-    st.booleans(),
-    INTEGERS,
-    st.text(),
-    st.lists(st.sampled_from(TRICKY_TEXT)).map("".join),
-    st.tuples(st.integers(), st.integers(min_value=1)),
-    # a corner: a list made only of (num, den) pairs
-    st.lists(st.tuples(INTEGERS, INTEGERS), min_size=1, max_size=5),
-)
-PAYLOADS = st.recursive(
-    LEAVES,
-    lambda children: st.lists(children, max_size=4)
-    | st.dictionaries(st.text() | st.sampled_from(TRICKY_TEXT), children, max_size=4),
-    max_leaves=25,
-)
-
-
-def as_json_dumps_input(obj):
-    """The writer's (num, den) tuples are JSON arrays; `json.dumps` takes lists."""
-    if isinstance(obj, tuple):
-        return list(obj)
-    if isinstance(obj, list):
-        return [as_json_dumps_input(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: as_json_dumps_input(v) for k, v in obj.items()}
-    return obj
-
-
-@contextmanager
-def int_digit_limit(limit: int):
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
-def reference_dump(obj) -> str:
-    with int_digit_limit(0):
-        return json.dumps(as_json_dumps_input(obj), indent=2, sort_keys=False) + "\n"
-
-
-@settings(max_examples=300, deadline=None)
-@given(PAYLOADS)
-def test_writer_matches_json_dumps_indent_2(payload):
-    with int_digit_limit(4300):
-        assert _dump(payload) == reference_dump(payload)
-        assert sys.get_int_max_str_digits() == 4300
-
-
-@pytest.mark.parametrize("bad", [{"a": [1, {2}]}, [1.5], {"x": object()}])
-def test_writer_refuses_other_types_and_restores_the_digit_limit(bad):
-    with int_digit_limit(4300):
-        with pytest.raises(TypeError):
-            _dump(bad)
-        assert sys.get_int_max_str_digits() == 4300
-
-
 PAIR_VALUES = [
     0.0, -0.0, 5e-324, 2.0**-1074, -5e-324, 1e308, -1e308, 1.7976931348623157e308,
     0.1, -0.1, -2.5, 1 / 3, -(2.0**-1022),
@@ -256,3 +174,309 @@ def test_float_solve_emits_the_fraction_pairs():
             pair(r.infeasibility_after) for r in trace.records
         ]
         assert [e["corner"] for e in emitted["entries"]] == [corner(r.corner) for r in trace.records]
+
+
+# The payload builders the writer replaced, kept as its reference: each
+# emitter must give `json.dumps(builder(record), indent=2) + "\n"`.
+
+
+def _rational(x: Value) -> dict[str, int]:
+    num, den = x.as_integer_ratio()
+    return {"num": num, "den": den}
+
+
+def _corner(values) -> list[tuple[int, int]]:
+    return [v.as_integer_ratio() for v in values]
+
+
+def _trace_dict(trace: Trace) -> dict[str, Any]:
+    # The walk is the starting corner and then each pivot's corner, so one
+    # list of pairs per corner serves both `corners` and its entry.
+    corners = [_corner(c) for c in trace.corners]
+    entries = [
+        {
+            "iter": iteration,
+            "entering": rec.entering.name,
+            "leaving": rec.leaving.name,
+            "ratio": _rational(rec.ratio),
+            "degenerate": rec.degenerate,
+            "infeasibility_sum": _rational(rec.infeasibility_after),
+            "corner": corner,
+        }
+        for iteration, (rec, corner) in enumerate(zip(trace.records, corners[1:]), start=1)
+    ]
+    return {
+        "method": trace.method,
+        "status": trace.status.value,
+        "pivots": trace.pivots,
+        "degenerate_pivots": trace.degenerate_pivots,
+        "corners": corners,
+        "entries": entries,
+    }
+
+
+def outcome_to_dict(outcome: SolveOutcome) -> dict[str, Any]:
+    payload: dict[str, Any] = {"status": outcome.status.value}
+    if outcome.objective is not None:
+        payload["objective"] = _rational(outcome.objective)
+    if outcome.solution:
+        payload["solution"] = [
+            {"var": name, **_rational(value)}
+            for name, value in outcome.solution.items()
+        ]
+    certs = outcome.certificates
+    certificates: dict[str, Any] = {}
+    if certs.infeasible_rows is not None:
+        certificates["infeasible_rows"] = list(certs.infeasible_rows)
+    if certs.ray is not None:
+        certificates["ray"] = [
+            {"var": name, **_rational(value)} for name, value in certs.ray.items()
+        ]
+    payload["certificates"] = certificates
+    payload["phase1"] = _trace_dict(outcome.phase1)
+    if outcome.phase2 is not None:
+        payload["phase2"] = _trace_dict(outcome.phase2)
+    return payload
+
+
+def report_to_dict(report: ComparisonReport) -> dict[str, Any]:
+    def summary(trace: Trace) -> dict[str, Any]:
+        return {
+            "verdict": trace.status.value,
+            "pivots": trace.pivots,
+            "degenerate_pivots": trace.degenerate_pivots,
+            "corners": [_corner(c) for c in trace.deduplicated_corners()],
+        }
+
+    return {
+        "verdict": report.verdict.value,
+        "artificial_free": summary(report.af),
+        "traditional": summary(report.traditional),
+        "corners_equal": report.corners_equal,
+        "af_pivots_le_traditional": report.af_pivots_le_traditional,
+    }
+
+
+def oracle_to_dict(result: OracleResult) -> dict[str, Any]:
+    payload: dict[str, Any] = {
+        "feasible": result.feasible,
+        "unbounded": result.unbounded,
+    }
+    if result.optimal_value is not None:
+        payload["optimal_value"] = _rational(result.optimal_value)
+    if result.optimal_vertex is not None:
+        payload["optimal_vertex"] = _corner(result.optimal_vertex)
+    payload["vertices"] = [_corner(v) for v in result.vertices]
+    return payload
+
+
+TRICKY_TEXT = [
+    '"', "\\", "\x00", "\x1f", "\x7f",
+    "\n\t\r", "\u00e9", "\u4e00", "\U0001f600",
+    "\ud800", "/",
+]
+
+
+def huge_int(digits: int, negative: bool) -> int:
+    value = 10 ** (digits - 1) + 12345
+    return -value if negative else value
+
+
+@contextmanager
+def int_digit_limit(limit: int):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+HUGE = st.builds(huge_int, st.integers(4301, 4400), st.booleans())
+VALUES = st.one_of(
+    st.sampled_from(PAIR_VALUES),
+    HUGE,
+    st.builds(Fraction, HUGE, HUGE.map(abs)),
+    st.fractions(),
+)
+NAMES = st.text(max_size=5) | st.lists(st.sampled_from(TRICKY_TEXT), max_size=4).map("".join)
+# The writer reads only a label's name, so a stand-in can carry any text.
+LABELS = st.builds(SimpleNamespace, name=NAMES)
+CORNERS = st.lists(VALUES, max_size=3).map(tuple)
+RECORDS = st.builds(
+    PivotRecord,
+    entering=LABELS,
+    leaving=LABELS,
+    ratio=VALUES,
+    degenerate=st.booleans(),
+    infeasibility_after=VALUES,
+    corner=CORNERS,
+)
+TRACES = st.builds(
+    Trace,
+    method=NAMES,
+    status=st.sampled_from(Status),
+    initial_corner=CORNERS,
+    initial_infeasibility=VALUES,
+    records=st.lists(RECORDS, max_size=3).map(tuple),
+)
+OUTCOMES = st.builds(
+    SolveOutcome,
+    status=st.sampled_from(Status),
+    solution=st.dictionaries(NAMES, VALUES, max_size=3),
+    objective=st.none() | VALUES,
+    phase1=TRACES,
+    phase2=st.none() | TRACES,
+    certificates=st.builds(
+        Certificates,
+        infeasible_rows=st.none() | st.lists(NAMES, max_size=3).map(tuple),
+        ray=st.none() | st.dictionaries(NAMES, VALUES, max_size=3),
+    ),
+)
+REPORTS = st.builds(
+    ComparisonReport,
+    verdict=st.sampled_from(Status),
+    af=TRACES,
+    traditional=TRACES,
+    corners_equal=st.booleans(),
+    af_pivots_le_traditional=st.booleans(),
+)
+ORACLES = st.builds(
+    OracleResult,
+    feasible=st.booleans(),
+    unbounded=st.booleans(),
+    optimal_value=st.none() | VALUES,
+    optimal_vertex=st.none() | CORNERS,
+    vertices=st.lists(CORNERS, max_size=3).map(tuple),
+)
+
+ZERO_PIVOTS = Trace("af", Status.FEASIBLE, (0.0, -0.0), 0, ())
+ONE_PIVOT = replace(
+    ZERO_PIVOTS,
+    records=(PivotRecord(af.Label(1, 2), af.Label(0, 1), 5e-324, False, -0.0, (5e-324, 1.0)),),
+)
+
+
+def assert_matches_reference(emit, to_dict, record) -> None:
+    with int_digit_limit(0):
+        expected = json.dumps(to_dict(record), indent=2) + "\n"
+    with int_digit_limit(4300):
+        assert emit(record) == expected
+        assert sys.get_int_max_str_digits() == 4300
+
+
+@settings(max_examples=40, deadline=None)
+@given(OUTCOMES)
+@example(SolveOutcome(Status.INFEASIBLE, {}, None, ZERO_PIVOTS, None, Certificates(())))
+@example(
+    SolveOutcome(
+        Status.UNBOUNDED, {}, None, ONE_PIVOT, ZERO_PIVOTS, Certificates(ray={"x1": 5e-324})
+    )
+)
+@example(
+    SolveOutcome(
+        Status.OPTIMAL, {"\ud800": -0.0}, 1e308, ONE_PIVOT, ONE_PIVOT,
+        Certificates(("w1", '"'), {}),
+    )
+)
+def test_outcome_writer_matches_json_dumps_indent_2(outcome):
+    assert_matches_reference(emit_outcome_json, outcome_to_dict, outcome)
+
+
+@settings(max_examples=25, deadline=None)
+@given(REPORTS)
+@example(ComparisonReport(Status.FEASIBLE, ONE_PIVOT, ZERO_PIVOTS, False, True))
+def test_report_writer_matches_json_dumps_indent_2(report):
+    assert_matches_reference(emit_report_json, report_to_dict, report)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ORACLES)
+@example(OracleResult(False, False, None, None, ()))
+@example(OracleResult(True, False, Fraction(-1, 3), (), ((),)))
+def test_oracle_writer_matches_json_dumps_indent_2(result):
+    assert_matches_reference(emit_oracle_json, oracle_to_dict, result)
+
+
+def records_holding(x: float) -> list:
+    """One record of each kind that holds the value x."""
+    trace = Trace("af", Status.FEASIBLE, (x,), x, ())
+    outcome = SolveOutcome(Status.OPTIMAL, {"x1": x}, x, trace, None, Certificates())
+    return [
+        (emit_outcome_json, outcome),
+        (emit_report_json, ComparisonReport(Status.FEASIBLE, trace, trace, True, True)),
+        (emit_oracle_json, OracleResult(True, False, Fraction(0), (x,), ((x,),))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [(float("inf"), OverflowError), (float("-inf"), OverflowError), (float("nan"), ValueError)],
+    ids=["inf", "-inf", "nan"],
+)
+def test_writer_refuses_values_without_a_ratio_and_restores_the_digit_limit(value, error):
+    # `afsimplex solve` and `compare` turn these two errors into exit 65.
+    for emit, record in records_holding(value):
+        with int_digit_limit(4300):
+            with pytest.raises(error):
+                emit(record)
+            assert sys.get_int_max_str_digits() == 4300
+
+
+def with_counted_values(outcome: SolveOutcome) -> tuple[SolveOutcome, list]:
+    """outcome with every value a float that records its as_integer_ratio calls."""
+    calls = []
+
+    class Counted(float):
+        def as_integer_ratio(self):
+            calls.append(self)
+            return super().as_integer_ratio()
+
+    def corner(values):
+        return tuple(map(Counted, values))
+
+    def trace(t: Trace) -> Trace:
+        records = tuple(
+            replace(
+                rec,
+                ratio=Counted(rec.ratio),
+                infeasibility_after=Counted(rec.infeasibility_after),
+                corner=corner(rec.corner),
+            )
+            for rec in t.records
+        )
+        return replace(t, initial_corner=corner(t.initial_corner), records=records)
+
+    certs = outcome.certificates
+    ray = None if certs.ray is None else {k: Counted(v) for k, v in certs.ray.items()}
+    counted = replace(
+        outcome,
+        solution={k: Counted(v) for k, v in outcome.solution.items()},
+        objective=None if outcome.objective is None else Counted(outcome.objective),
+        phase1=trace(outcome.phase1),
+        phase2=None if outcome.phase2 is None else trace(outcome.phase2),
+        certificates=replace(certs, ray=ray),
+    )
+    return counted, calls
+
+
+@pytest.mark.parametrize(
+    "text, status",
+    [
+        (WALK_TEXT, Status.UNBOUNDED),
+        ("max: x1 + x2;\nc1: x1 + x2 <= 3/2;\nc2: x1 >= 1/2;\n", Status.OPTIMAL),
+    ],
+    ids=["unbounded", "optimal"],
+)
+def test_each_value_is_formatted_once(text, status):
+    outcome = solve(af.standardize(af.parse_lp(text, FloatMode())))
+    assert outcome.status is status
+    traces = [t for t in (outcome.phase1, outcome.phase2) if t is not None]
+    assert all(t.records for t in traces)
+    counted, calls = with_counted_values(outcome)
+    assert emit_outcome_json(counted) == emit_outcome_json(outcome)
+    corner_values = sum(len(c) for t in traces for c in t.corners)
+    pivot_values = sum(2 * t.pivots for t in traces)
+    named_values = len(outcome.solution) + len(outcome.certificates.ray or {})
+    objective = outcome.objective is not None
+    assert len(calls) == corner_values + pivot_values + named_values + objective
