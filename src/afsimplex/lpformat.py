@@ -15,7 +15,6 @@ convenience, the right-hand side number may carry a leading sign.
 
 from __future__ import annotations
 
-import math
 import re
 from functools import lru_cache
 from itertools import count, islice
@@ -214,25 +213,31 @@ def parse_lp(text: str, mode: NumericMode = EXACT) -> GeneralProblem:
     return _Parser(text, mode).parse()
 
 
+def _ratio(x: Value, magnitude: bool = False) -> tuple[int, int]:
+    """`x` in lowest terms as (numerator, denominator).  LP text cannot
+    hold inf or nan: each is refused by name, a coefficient's by |x|."""
+    try:
+        return x.as_integer_ratio()
+    except (OverflowError, ValueError):
+        raise ValueError(f"cannot write {(abs(x) if magnitude else x)!r} as LP text") from None
+
+
 def _format_value(x: Value) -> str:
     """The exact integer or quotient `x` denotes.  A float is written this
     way too, never in exponent form, which the grammar cannot read."""
-    if isinstance(x, float) and not math.isfinite(x):
-        raise ValueError(f"cannot write {x!r} as LP text")
-    num, den = x.as_integer_ratio()
+    num, den = _ratio(x)
     return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _format_linexpr(coeffs, variables) -> str:
     parts: list[str] = []
     for var in variables:
-        if var not in coeffs:
-            continue
-        value = coeffs[var]
-        magnitude = -value if value < 0 else value
-        lead = "-" if value < 0 else ("+" if parts else "")
-        body = var if magnitude == 1 else f"{_format_value(magnitude)} {var}"
-        parts.append(f"{lead} {body}".strip() if parts else (lead + body))
+        if var in coeffs:
+            num, den = _ratio(coeffs[var], magnitude=True)
+            lead = ("- " if num < 0 else "+ ") if parts else ("-" if num < 0 else "")
+            num = abs(num)  # a unit is 1/1 in lowest terms
+            body = var if num == den else f"{num} {var}" if den == 1 else f"{num}/{den} {var}"
+            parts.append(lead + body)
     return " ".join(parts) if parts else "0 " + variables[0]
 
 
@@ -245,8 +250,18 @@ def format_lp(gp: GeneralProblem) -> str:
         # "2x" would read back as 2 x
         if not _is_name(name):
             raise ValueError(f"cannot write the name {name!r} as LP text")
-    lines = [f"{gp.sense.value}: {_format_linexpr(gp.objective, gp.variables)};"]
+    variables, objective = gp.variables, gp.objective
+    if len(objective) < len(variables):
+        # The parser registers variables as they first appear, and each
+        # line (an empty one as "0 " and the first) is in registry order.
+        # Where that order is not the registry's, the objective names all.
+        order: list[str] = []
+        for coeffs in (objective, *(con.coeffs for con in gp.constraints)):
+            order += sorted(set(coeffs or variables[:1]).difference(order), key=variables.index)
+        if order != list(variables):
+            objective = {var: objective.get(var, 0) for var in variables}
+    lines = [f"{gp.sense.value}: {_format_linexpr(objective, variables)};"]
     for con in gp.constraints:
-        expr = _format_linexpr(con.coeffs, gp.variables)
+        expr = _format_linexpr(con.coeffs, variables)
         lines.append(f"{con.name}: {expr} {con.relation.value} {_format_value(con.rhs)};")
     return "\n".join(lines) + "\n"

@@ -63,10 +63,9 @@ class GeneralProblem:
                 seen.add(var)
                 registry.append(var)
         object.__setattr__(self, "variables", tuple(registry))
+        coerce = self.mode.coerce
         object.__setattr__(
-            self,
-            "objective",
-            {v: self.mode.coerce(x) for v, x in self.objective.items()},
+            self, "objective", {v: coerce(x) for v, x in self.objective.items()}
         )
         names = [con.name for con in self.constraints]
         if len(set(names)) != len(names):
@@ -74,9 +73,9 @@ class GeneralProblem:
         coerced = tuple(
             Constraint(
                 con.name,
-                {v: self.mode.coerce(x) for v, x in con.coeffs.items()},
+                {v: coerce(x) for v, x in con.coeffs.items()},
                 con.relation,
-                self.mode.coerce(con.rhs),
+                coerce(con.rhs),
             )
             for con in self.constraints
         )

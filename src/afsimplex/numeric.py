@@ -50,14 +50,18 @@ class ExactMode(NumericMode):
     zero = Fraction(0)
 
     def coerce(self, value) -> Fraction:
+        # The commonest types first, by exact type; bool, IntEnum and
+        # subclasses of Fraction take the general path.
+        if type(value) is Fraction:
+            return value
+        if type(value) is int:
+            return Fraction(value)
         # Floats are refused here on purpose: silently converting one to the
         # exact binary fraction it denotes is never what a caller wants.
         if isinstance(value, float):
             raise TypeError(
                 f"float {value!r} given in exact mode; pass int, str or Fraction"
             )
-        if type(value) is Fraction:
-            return value
         # An unsigned ASCII integer skips Fraction's regex; int() enforces
         # the same digit limit that Fraction(str) does.
         if isinstance(value, str) and value.isascii() and value.isdigit():

@@ -124,12 +124,12 @@ def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
     best_vertex: Optional[tuple[Fraction, ...]] = None
 
     # A frame is a basis prefix: its columns, the row each one pivoted on,
-    # the matrix after those steps and the last pivot.  Children are pushed
-    # in decreasing column order, so bases are visited in increasing order.
-    stack = [((), (), _integer_rows(sp), 1)]
+    # the rows still free (a dict: in order, with O(1) membership), the
+    # matrix after those steps and the last pivot.  Children are pushed in
+    # decreasing column order, so bases are visited in increasing order.
+    stack = [((), (), dict.fromkeys(range(m)), _integer_rows(sp), 1)]
     while stack:
-        cols, pivots, a, prev = stack.pop()
-        free = [i for i in range(m) if i not in pivots]
+        cols, pivots, free, a, prev = stack.pop()
         first = cols[-1] + 1 if cols else 0
         if len(free) > 1:
             # Row i reads (prev * y_c, if i pivots the prefix column c)
@@ -147,7 +147,9 @@ def enumerate_vertices(sp: StandardProblem, guard: int = 10**6) -> OracleResult:
                 # prefix and j is singular.
                 r = next((i for i in free if a[i][j]), None)
                 if r is not None:
-                    stack.append((cols + (j,), pivots + (r,), step(a, r, j, prev), a[r][j]))
+                    rest = free.copy()
+                    del rest[r]
+                    stack.append((cols + (j,), pivots + (r,), rest, step(a, r, j, prev), a[r][j]))
             continue
 
         (r,) = free

@@ -1,4 +1,5 @@
-"""Golden bytes: SHA-256 digests of the emitted JSON, pinned in this file.
+"""Golden bytes: SHA-256 digests of the emitted JSON and of the written LP
+text, pinned in this file.
 
 `test_outcome_bytes_are_deterministic` compares two runs inside one
 process, so a change that alters the bytes the same way every time passes
@@ -6,7 +7,10 @@ it.  These digests were computed once and are compared on every run, so
 any change to the solver's decisions, values or serialization shows here.
 Each digest covers `emit_outcome_json` (or `emit_report_json`, or
 `emit_oracle_json` of the enumeration oracle) of every instance in its
-group, concatenated in order.
+group, concatenated in order.  The LP-text digests cover `format_lp` of
+generated problems and `afsimplex gen` output the same way: the round-trip
+tests would pass if the text changed, and every benchmark input is such
+text.
 """
 
 import hashlib
@@ -14,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from afsimplex.cli import main
 from afsimplex.generate import Shape, generate_lp
 from afsimplex.harness import Method, compare, solve
 from afsimplex.jsonout import emit_oracle_json, emit_outcome_json, emit_report_json
@@ -37,6 +42,13 @@ RUNS = {
 
 SWEEP_SHAPES = (Shape.FEASIBLE_BIASED, Shape.INFEASIBLE_BIASED, Shape.DEGENERATE_BIASED)
 SWEEP_SIZES = ((2, 3), (3, 2), (4, 4), (6, 5), (5, 7), (8, 8))
+
+
+def text_digest(texts) -> str:
+    h = hashlib.sha256()
+    for text in texts:
+        h.update(text.encode())
+    return h.hexdigest()
 
 
 def sweep_texts() -> list[str]:
@@ -136,3 +148,49 @@ def test_compare_json_bytes_match_golden(mode_name):
 @pytest.mark.parametrize("group", sorted(ORACLE_GOLDEN))
 def test_oracle_json_bytes_match_golden(group):
     assert oracle_digest(GROUPS[group]()) == ORACLE_GOLDEN[group]
+
+
+LADDER_TEXT_GOLDEN = {
+    20: "833d0e8b73893bbae012c4e3174743ff0395a5b364efd4951f0fb6130fc35fd2",
+    30: "7b256f08a407715eb95db64c81c4d098a69e909150eef0d6f6513949d3e6a095",
+    40: "26776b7d7f645e134cdc9939ccd8ce47b1eecac7ab30f00d571b9a45687c2007",
+    60: "a56de3ee4fd5735c035d3b5b3b588cc5d631c55a9133cc3df6b9aa4b83524192",
+    80: "f9ce9d00bc4a359d94e535350651bb928f6f20a3f75d62805072324aa914e6fb",
+    100: "6b7abf13d54077277d35886d018d35d045648ef3b33cff30abd0e81da091dc51",
+}
+
+# The 540 problems of tests/test_acceptance.py's sweep, in its order and seeds
+ACCEPTANCE_TEXT_GOLDEN = "02ddcc0880bd031c7cc9006f5d04b4df83cee076f23c97094e32ff34cc358332"
+
+GEN_GOLDEN = {
+    Shape.FEASIBLE_BIASED: "3a67ec54cca9a1bc5e3a421307d8d571f704be4b468656a0c2fc9f6f8d3f9cba",
+    Shape.INFEASIBLE_BIASED: "0a9f0fb18b38d75a283d8cfaee090fb86b96c1625c24977d9a41af60ee5d836d",
+    Shape.DEGENERATE_BIASED: "a65166da32cc62f2a6bfcc9a20b5670d049ec76ae832908d4fdee7cf445faf7d",
+}
+
+
+@pytest.mark.parametrize("n", sorted(LADDER_TEXT_GOLDEN))
+def test_ladder_lp_text_bytes_match_golden(n):
+    texts = [format_lp(generate_lp(1, n, n, shape=shape)) for shape in SWEEP_SHAPES]
+    assert text_digest(texts) == LADDER_TEXT_GOLDEN[n]
+
+
+def test_acceptance_sweep_lp_text_bytes_match_golden():
+    texts: list[str] = []
+    for rows in range(1, 7):
+        for cols in range(1, 7):
+            for shape in SWEEP_SHAPES:
+                for _ in range(5):
+                    texts.append(format_lp(generate_lp(len(texts), rows, cols, shape=shape)))
+    assert len(texts) == 540
+    assert text_digest(texts) == ACCEPTANCE_TEXT_GOLDEN
+
+
+@pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=lambda shape: shape.value)
+def test_gen_stdout_bytes_match_golden(shape, capsys):
+    outputs = []
+    for seed in ("1", "2"):
+        argv = ["gen", "--seed", seed, "--rows", "8", "--cols", "6", "--shape", shape.value]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert text_digest(outputs) == GEN_GOLDEN[shape]

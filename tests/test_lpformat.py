@@ -1,5 +1,6 @@
 """LP text grammar: parsing, errors, and the print round-trip."""
 
+import math
 import re
 from fractions import Fraction as F
 from itertools import count
@@ -11,12 +12,18 @@ from hypothesis import strategies as st
 
 import afsimplex as af
 from afsimplex.generate import Shape, generate_lp
-from afsimplex.lpformat import ParseError, format_lp, parse_lp
-from afsimplex.model import Constraint, EmptyProblem, GeneralProblem, Relation, Sense
+from afsimplex.lpformat import ParseError, _is_name, format_lp, parse_lp
+from afsimplex.model import (
+    Constraint,
+    EmptyProblem,
+    GeneralProblem,
+    Relation,
+    Sense,
+    standardize,
+)
 from afsimplex.numeric import EXACT, FloatMode, NumericMode, Value
 
 from conftest import WALK_TEXT
-
 
 
 def test_walk_parses_to_expected_problem():
@@ -507,3 +514,166 @@ def test_ladder_values_have_the_mode_type(mode, kind):
         values += [*con.coeffs.values(), con.rhs]
     assert len(values) > 400
     assert {type(x) for x in values} == {kind}
+
+
+# The writer as it stood before it read each value as one integer ratio,
+# kept verbatim as the reference that `format_lp` is held to below: the
+# same bytes, or the same ValueError, whenever the text restores the
+# problem's variable registry.
+
+def _reference_format_value(x: Value) -> str:
+    """The exact integer or quotient `x` denotes.  A float is written this
+    way too, never in exponent form, which the grammar cannot read."""
+    if isinstance(x, float) and not math.isfinite(x):
+        raise ValueError(f"cannot write {x!r} as LP text")
+    num, den = x.as_integer_ratio()
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _reference_format_linexpr(coeffs, variables) -> str:
+    parts: list[str] = []
+    for var in variables:
+        if var not in coeffs:
+            continue
+        value = coeffs[var]
+        magnitude = -value if value < 0 else value
+        lead = "-" if value < 0 else ("+" if parts else "")
+        body = var if magnitude == 1 else f"{_reference_format_value(magnitude)} {var}"
+        parts.append(f"{lead} {body}".strip() if parts else (lead + body))
+    return " ".join(parts) if parts else "0 " + variables[0]
+
+
+def reference_format_lp(gp: GeneralProblem) -> str:
+    """Render a problem back to LP text; parsing the output restores it.
+    A name or value the grammar cannot read back raises ValueError."""
+    if not gp.variables:
+        raise EmptyProblem("a problem with no variables has no LP text")
+    for name in (*gp.variables, *(con.name for con in gp.constraints)):
+        # "2x" would read back as 2 x
+        if not _is_name(name):
+            raise ValueError(f"cannot write the name {name!r} as LP text")
+    lines = [f"{gp.sense.value}: {_reference_format_linexpr(gp.objective, gp.variables)};"]
+    for con in gp.constraints:
+        expr = _reference_format_linexpr(con.coeffs, gp.variables)
+        lines.append(f"{con.name}: {expr} {con.relation.value} {_reference_format_value(con.rhs)};")
+    return "\n".join(lines) + "\n"
+
+
+def written(write, gp):
+    """The text, or the error's type and message."""
+    try:
+        return write(gp)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+_HUGE = st.integers(10**3990, 10**4000)  # numerators of about 4,000 digits
+EXACT_VALUES = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-7, 3), F(10**4000 - 1, 3)]),
+    st.integers(-12, 12).map(F),
+    st.fractions(),
+    st.builds(F, _HUGE | _HUGE.map(lambda x: -x), st.integers(1, 10**6)),
+)
+FLOAT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 5e-324, -5e-324,
+                     1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+POOL = ("x1", "x2", "x3", "x4")
+
+
+@st.composite
+def problems(draw, values, mode: NumericMode, registry: bool = False):
+    """A problem over some of POOL: any variable may be missing from the
+    objective or from any row.  Its registry is derived from the terms, or,
+    with `registry`, listed explicitly: reordered, with unused variables."""
+    def terms():
+        names = draw(st.lists(st.sampled_from(POOL), unique=True, max_size=len(POOL)))
+        return {name: draw(values) for name in names}
+
+    objective = terms()
+    rows = tuple(
+        Constraint(f"c{k}", terms(), draw(st.sampled_from(list(Relation))), draw(values))
+        for k in range(1, draw(st.integers(1, 3)) + 1)
+    )
+    mentioned = set(objective).union(*(row.coeffs for row in rows))
+    if registry:
+        names = draw(st.permutations(POOL))
+        variables = tuple(name for name in names if name in mentioned or draw(st.booleans()))
+    else:
+        variables = ()
+    sense = draw(st.sampled_from(list(Sense)))
+    return GeneralProblem(sense, objective, rows, variables=variables, mode=mode)
+
+
+@pytest.mark.parametrize(
+    "values, mode", [(EXACT_VALUES, EXACT), (FLOAT_VALUES, FloatMode())], ids=["exact", "float"]
+)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_format_matches_reference_writer(values, mode, data):
+    gp = data.draw(problems(values, mode))
+    assert written(format_lp, gp) == written(reference_format_lp, gp)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("place", ["objective", "coefficient", "rhs"])
+def test_format_refuses_as_the_reference_writer_does(place, bad):
+    objective = {"x1": bad if place == "objective" else 1.0, "x2": -2.0}
+    coeffs = {"x1": -1.0, "x2": bad if place == "coefficient" else 3.0}
+    rhs = bad if place == "rhs" else 4.0
+    gp = GeneralProblem(
+        Sense.MAX, objective, (Constraint("c1", coeffs, Relation.LE, rhs),), mode=FloatMode()
+    )
+    error = written(format_lp, gp)
+    assert error == written(reference_format_lp, gp)
+    # a coefficient is refused by its magnitude, a right-hand side as it is
+    shown = repr(bad) if place == "rhs" else repr(abs(bad))
+    assert error == (ValueError, f"cannot write {shown} as LP text")
+
+
+# The registry cases: a variable no line names, and an objective that
+# omits a variable a later row names ahead of one it does name.
+UNUSED = GeneralProblem(
+    Sense.MAX, {"x1": 1}, (Constraint("c1", {"x1": 1}, Relation.LE, 4),), variables=("x1", "x2")
+)
+REORDERED = GeneralProblem(
+    Sense.MAX,
+    {"x2": 1},
+    (Constraint("c1", {"x1": 1, "x2": 1}, Relation.LE, 4),),
+    variables=("x1", "x2"),
+)
+
+
+@pytest.mark.parametrize(
+    "gp, text",
+    [
+        (UNUSED, "max: x1 + 0 x2;\nc1: x1 <= 4;\n"),
+        (REORDERED, "max: 0 x1 + x2;\nc1: x1 + x2 <= 4;\n"),
+    ],
+    ids=["unused", "reordered"],
+)
+def test_format_names_every_registry_variable_in_order(gp, text):
+    assert format_lp(gp) == text
+    assert parse_lp(text).variables == ("x1", "x2")
+    assert standardize(parse_lp(text)) == standardize(gp)
+
+
+@given(gp=problems(EXACT_VALUES, EXACT, registry=True)
+       | problems(FLOAT_VALUES, FloatMode(), registry=True))
+@example(gp=UNUSED)
+@example(gp=REORDERED)
+@settings(max_examples=200, deadline=None)
+def test_format_round_trip_keeps_the_registry(gp):
+    text = written(format_lp, gp)
+    if isinstance(text, tuple):  # no variables, so no LP text
+        assert text == written(reference_format_lp, gp)
+        return
+    back = parse_lp(text, gp.mode)
+    assert back.variables == gp.variables
+    if gp.objective:  # standardize refuses an empty objective
+        assert standardize(back) == standardize(gp)
+    # a problem whose text kept its registry before keeps its bytes
+    before = reference_format_lp(gp)
+    if parse_lp(before, gp.mode).variables == gp.variables:
+        assert text == before

@@ -1,9 +1,10 @@
 """Arithmetic backends: exact rationals and epsilon-classified floats."""
 
+from enum import IntEnum
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afsimplex import EXACT, ClassifiedZeroDivision, FloatMode, parse_lp
@@ -105,6 +106,10 @@ class SubFraction(Fraction):
     pass
 
 
+class Level(IntEnum):
+    HIGH = 3
+
+
 TRAP_TEXT = [
     "0." + "0" * 5000 + "1",  # past the int digit limit; float() would read 0.0
     "0" * 5000 + "1",  # an integer past the digit limit
@@ -140,6 +145,12 @@ VALUES = st.one_of(
 )
 @settings(max_examples=400, deadline=None)
 @given(value=VALUES)
+# the exact types tested first, and the int and Fraction subclasses that
+# must pass them over
+@example(value=7)
+@example(value=True)
+@example(value=Level.HIGH)
+@example(value=SubFraction(3, 4))
 def test_coerce_matches_the_fraction_path(coerce, reference, value):
     assert outcome(coerce, value) == outcome(reference, value)
 
