@@ -243,13 +243,18 @@ def _format_linexpr(coeffs, variables) -> str:
 
 def format_lp(gp: GeneralProblem) -> str:
     """Render a problem back to LP text; parsing the output restores it.
-    A name or value the grammar cannot read back raises ValueError."""
+    A name or value the grammar cannot read back raises ValueError, and a
+    problem without variables or without an objective raises EmptyProblem."""
     if not gp.variables:
         raise EmptyProblem("a problem with no variables has no LP text")
     for name in (*gp.variables, *(con.name for con in gp.constraints)):
         # "2x" would read back as 2 x
         if not _is_name(name):
             raise ValueError(f"cannot write the name {name!r} as LP text")
+    if not gp.objective:
+        # standardize refuses this problem; "max: 0 x1;" would read back
+        # as one it solves
+        raise EmptyProblem("no objective")
     variables, objective = gp.variables, gp.objective
     if len(objective) < len(variables):
         # The parser registers variables as they first appear, and each

@@ -1,6 +1,7 @@
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -64,6 +65,13 @@ def strip_sp():
 @pytest.fixture(scope="session")
 def cycler_sp():
     return af.standardize(af.parse_lp(CYCLER_TEXT))
+
+
+@cache
+def ladder_text(n: int, shape: af.Shape) -> str:
+    """The LP text of `generate_lp(1, n, n, shape=shape)`, written once per
+    session for every test that reads a ladder."""
+    return af.format_lp(af.generate_lp(1, n, n, shape=shape))
 
 
 def problem_from(text: str) -> af.StandardProblem:

@@ -28,7 +28,7 @@ from afsimplex.numeric import EXACT, FloatMode
 from afsimplex.oracle import enumerate_vertices
 from afsimplex.trace import SolveConfig
 
-from conftest import CYCLER_TEXT, STRIP_TEXT
+from conftest import CYCLER_TEXT, STRIP_TEXT, ladder_text
 
 WALK_LP = (Path(__file__).resolve().parent.parent / "demos" / "walk.lp").read_text()
 
@@ -87,7 +87,7 @@ def oracle_digest(texts) -> str:
 
 def ladder_texts() -> list[str]:
     """Answers with long float expansions: 30x30, one instance per shape."""
-    return [format_lp(generate_lp(1, 30, 30, shape=shape)) for shape in SWEEP_SHAPES]
+    return [ladder_text(30, shape) for shape in SWEEP_SHAPES]
 
 
 GROUPS = {
@@ -171,7 +171,7 @@ GEN_GOLDEN = {
 
 @pytest.mark.parametrize("n", sorted(LADDER_TEXT_GOLDEN))
 def test_ladder_lp_text_bytes_match_golden(n):
-    texts = [format_lp(generate_lp(1, n, n, shape=shape)) for shape in SWEEP_SHAPES]
+    texts = [ladder_text(n, shape) for shape in SWEEP_SHAPES]
     assert text_digest(texts) == LADDER_TEXT_GOLDEN[n]
 
 

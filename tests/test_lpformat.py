@@ -23,7 +23,7 @@ from afsimplex.model import (
 )
 from afsimplex.numeric import EXACT, FloatMode, NumericMode, Value
 
-from conftest import WALK_TEXT
+from conftest import WALK_TEXT, ladder_text
 
 
 def test_walk_parses_to_expected_problem():
@@ -220,6 +220,19 @@ def test_format_round_trip_float(sense, objective, rows):
 def test_format_refuses_a_problem_without_variables():
     gp = GeneralProblem(Sense.MAX, {}, (Constraint("c1", {}, Relation.LE, 1),))
     with pytest.raises(EmptyProblem, match="no variables"):
+        format_lp(gp)
+
+
+@pytest.mark.parametrize("variables", [(), ("x1", "x2")], ids=["named-by-rows", "registry"])
+def test_format_refuses_a_problem_without_an_objective(variables):
+    # written as "max: 0 x1;" it would read back as a problem that
+    # standardize takes
+    gp = GeneralProblem(
+        Sense.MAX, {}, (Constraint("c1", {"x1": 1}, Relation.LE, 4),), variables=variables
+    )
+    with pytest.raises(EmptyProblem, match="no objective"):
+        standardize(gp)
+    with pytest.raises(EmptyProblem, match="^no objective$"):
         format_lp(gp)
 
 
@@ -482,14 +495,14 @@ def test_parse_matches_reference_parser(mode, text):
 def test_generated_ladders_parse_as_the_reference_does():
     for n in (10, 20, 30, 40, 60, 80, 100):
         for shape in Shape:
-            text = format_lp(generate_lp(1, n, n, shape=shape))
+            text = ladder_text(n, shape)
             for mode in MODES:
                 assert parsed(parse_lp, text, mode) == parsed(reference_parse_lp, text, mode)
 
 
 @pytest.mark.parametrize("mode", MODES, ids=["exact", "float"])
 def test_errors_in_a_large_input_are_placed_as_the_reference_places_them(mode):
-    text = format_lp(generate_lp(1, 100, 100))
+    text = ladder_text(100, Shape.FEASIBLE_BIASED)
     middle = len(text) // 2
     cut = text.index(";\n", middle)  # the last statement loses its ";"
     for broken, message in [
@@ -507,7 +520,7 @@ def test_errors_in_a_large_input_are_placed_as_the_reference_places_them(mode):
 )
 def test_ladder_values_have_the_mode_type(mode, kind):
     # 1 == 1.0 == F(1), so problem equality cannot tell a float from a Fraction
-    text = format_lp(generate_lp(1, 20, 20)) + "q: 1/2 x1 + 0.25 x2 - 7 x3 <= 3/4;\n"
+    text = ladder_text(20, Shape.FEASIBLE_BIASED) + "q: 1/2 x1 + 0.25 x2 - 7 x3 <= 3/4;\n"
     problem = parse_lp(text, mode)
     values = list(problem.objective.values())
     for con in problem.constraints:
@@ -613,7 +626,10 @@ def problems(draw, values, mode: NumericMode, registry: bool = False):
 @settings(max_examples=200, deadline=None)
 def test_format_matches_reference_writer(values, mode, data):
     gp = data.draw(problems(values, mode))
-    assert written(format_lp, gp) == written(reference_format_lp, gp)
+    if gp.variables and not gp.objective:  # the reference wrote "max: 0 x1;"
+        assert written(format_lp, gp) == (EmptyProblem, "no objective")
+    else:
+        assert written(format_lp, gp) == written(reference_format_lp, gp)
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
@@ -666,13 +682,13 @@ def test_format_names_every_registry_variable_in_order(gp, text):
 @settings(max_examples=200, deadline=None)
 def test_format_round_trip_keeps_the_registry(gp):
     text = written(format_lp, gp)
-    if isinstance(text, tuple):  # no variables, so no LP text
-        assert text == written(reference_format_lp, gp)
+    if not gp.objective:  # no variables or no objective, so no LP text
+        refusal = "no objective" if gp.variables else "a problem with no variables has no LP text"
+        assert text == (EmptyProblem, refusal)
         return
     back = parse_lp(text, gp.mode)
     assert back.variables == gp.variables
-    if gp.objective:  # standardize refuses an empty objective
-        assert standardize(back) == standardize(gp)
+    assert standardize(back) == standardize(gp)
     # a problem whose text kept its registry before keeps its bytes
     before = reference_format_lp(gp)
     if parse_lp(before, gp.mode).variables == gp.variables:
