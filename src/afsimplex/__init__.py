@@ -40,7 +40,6 @@ from .model import (
 )
 from .numeric import (
     EXACT,
-    ClassifiedZeroDivision,
     ExactMode,
     FloatMode,
     NumericMode,
@@ -66,7 +65,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Certificates",
-    "ClassifiedZeroDivision",
     "ComparisonReport",
     "Constraint",
     "Dictionary",

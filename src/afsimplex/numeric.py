@@ -20,13 +20,9 @@ ZERO = 0
 POSITIVE = 1
 
 
-class ClassifiedZeroDivision(ZeroDivisionError):
-    """Raised when dividing by a value the active mode classifies as zero."""
-
-
 class NumericMode:
-    """A mode has four members: the `zero` constant, coerce(), sign() and
-    div().  Callers test a value's sign by comparing sign(x) with 0."""
+    """A mode has three members: the `zero` constant, coerce() and sign().
+    Callers test a value's sign by comparing sign(x) with 0."""
 
     zero: Value
 
@@ -36,12 +32,6 @@ class NumericMode:
     def coerce(self, value) -> Value:
         raise NotImplementedError
 
-    def div(self, a: Value, b: Value) -> Value:
-        """Divide, refusing denominators classified as zero."""
-        if self.sign(b) == ZERO:
-            raise ClassifiedZeroDivision(f"denominator {b!r} classifies as zero")
-        return a / b
-
 
 @dataclass(frozen=True)
 class ExactMode(NumericMode):
@@ -50,12 +40,10 @@ class ExactMode(NumericMode):
     zero = Fraction(0)
 
     def coerce(self, value) -> Fraction:
-        # The commonest types first, by exact type; bool, IntEnum and
-        # subclasses of Fraction take the general path.
+        # The commonest type first, by exact type; subclasses of Fraction
+        # take the general path.
         if type(value) is Fraction:
             return value
-        if type(value) is int:
-            return Fraction(value)
         # Floats are refused here on purpose: silently converting one to the
         # exact binary fraction it denotes is never what a caller wants.
         if isinstance(value, float):
@@ -75,13 +63,6 @@ class ExactMode(NumericMode):
             return NEGATIVE
         return ZERO
 
-    def div(self, a: Value, b: Value) -> Fraction:
-        """Exact quotient; a and b may be ints, such as two numerators
-        over one denominator."""
-        if self.sign(b) == ZERO:
-            raise ClassifiedZeroDivision(f"denominator {b!r} classifies as zero")
-        return Fraction(a, b)
-
 
 @dataclass(frozen=True)
 class FloatMode(NumericMode):
@@ -99,11 +80,6 @@ class FloatMode(NumericMode):
         if type(value) is float:
             return value
         if isinstance(value, str):
-            # float() rounds an unsigned ASCII integer as float(Fraction())
-            # does.  Below 309 digits it neither overflows nor reaches the
-            # int digit limit (640 at least), which longer text must hit.
-            if len(value) < 309 and value.isascii() and value.isdigit():
-                return float(value)
             return float(Fraction(value))
         return float(value)
 

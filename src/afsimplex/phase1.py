@@ -11,6 +11,7 @@ infeasible row past zero.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .dictionary import Dictionary, Label
@@ -125,7 +126,7 @@ def select_leaving(
         elif here == there:
             best_row = break_tie(d, m, best_row, i, tie_break)
     if exact and best is not None:
-        best = mode.div(*best)
+        best = Fraction(*best)
     return best_row, best
 
 

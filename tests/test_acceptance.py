@@ -3,9 +3,9 @@ for criterion 10, which holds float mode to exact mode.
 
 Criteria 5 and 6 share one 540-instance random sweep (module-scoped
 fixture) so the invariant monitor sees every pivot of the same runs that
-are checked against the enumeration oracle; the paper's pivot counts are
-read off the same runs, and criterion 10 walks the same 540 instances in
-float mode under a second monitor.
+are checked against the enumeration oracle; the paper's pivot counts and
+the certificate checks are read off the same runs, and criterion 10
+walks the same 540 instances in float mode under a second monitor.
 """
 
 import json
@@ -154,14 +154,14 @@ def sweep():
         truth = enumerate_vertices(sp)
         af = solve(sp, Method.ARTIFICIAL_FREE, SolveConfig(), monitor=monitor)
         trad = solve(sp, Method.TRADITIONAL, SolveConfig())
-        runs.append((truth, af, trad))
+        runs.append((sp, truth, af, trad))
     return runs, monitor
 
 
 def test_criterion_5_oracle_equivalence(sweep):
     runs, _ = sweep
     assert len(runs) >= 500
-    for truth, af, trad in runs:
+    for _, truth, af, trad in runs:
         if not truth.feasible:
             assert af.status is Status.INFEASIBLE
         elif truth.unbounded:
@@ -169,11 +169,48 @@ def test_criterion_5_oracle_equivalence(sweep):
         else:
             assert af.status is Status.OPTIMAL
             assert af.objective == truth.optimal_value
+            assert trad.objective == truth.optimal_value
         assert trad.phase1.status is af.phase1.status
         assert trad.status is af.status
     print(
         f"criterion 5 PASS: {len(runs)} instances match the enumeration oracle; "
-        "traditional verdict agreed on all"
+        "traditional verdict and objective agreed on all"
+    )
+
+
+def _dot(row, x):
+    return sum(a * v for a, v in zip(row, x))
+
+
+def test_sweep_certificates_hold_against_the_problem(sweep):
+    # Each af and trad outcome of the sweep, checked in exact arithmetic
+    # against sp.A, sp.b and sp.c alone: an optimal point is feasible and
+    # scores the reported objective, a ray is an improving direction of
+    # the feasible region, and an infeasible verdict names its rows.
+    runs, _ = sweep
+    counts = {Status.OPTIMAL: 0, Status.UNBOUNDED: 0, Status.INFEASIBLE: 0}
+    for sp, _, *outcomes in runs:
+        for out in outcomes:
+            counts[out.status] += 1
+            if out.status is Status.OPTIMAL:
+                x = [out.solution[v] for v in sp.variables]
+                assert all(type(v) is F and v >= 0 for v in x)
+                assert all(_dot(row, x) <= b for row, b in zip(sp.A, sp.b))
+                value = _dot(sp.c, x)
+                assert out.objective == (-value if sp.negated_objective else value)
+            elif out.status is Status.UNBOUNDED:
+                r = [out.certificates.ray[v] for v in sp.variables]
+                assert all(type(v) is F and v >= 0 for v in r)
+                assert all(_dot(row, r) <= 0 for row in sp.A)
+                assert _dot(sp.c, r) > 0
+            else:
+                assert out.status is Status.INFEASIBLE
+                assert len(out.certificates.infeasible_rows) >= 1
+    assert all(counts.values())
+    print(
+        "sweep certificates PASS: "
+        + ", ".join(f"{n} {s.value}" for s, n in counts.items())
+        + " outcomes checked against A, b and c"
     )
 
 
@@ -190,8 +227,8 @@ def test_paper_claims_hold_over_the_sweep(sweep):
     # walks the same deduplicated corners on all but two instances.
     runs, monitor = sweep
     seeds = [seed for seed, *_ in _sweep_instances()]
-    af = [af_out.phase1 for _, af_out, _ in runs]
-    trad = [trad_out.phase1 for _, _, trad_out in runs]
+    af = [af_out.phase1 for *_, af_out, _ in runs]
+    trad = [trad_out.phase1 for *_, trad_out in runs]
     assert all(a.pivots <= t.pivots for a, t in zip(af, trad))
     assert sum(a.pivots for a in af) == monitor.checks == 881
     assert sum(t.pivots for t in trad) == 947
@@ -315,7 +352,7 @@ def test_criterion_10_float_mode_agrees_with_exact(sweep):
     trick = SolveConfig(use_trick=True)
     monitor = InvariantMonitor()
     count = 0
-    for (seed, rows, cols, shape), (_, af_exact, trad_exact) in zip(_sweep_instances(), runs):
+    for (seed, rows, cols, shape), (*_, af_exact, trad_exact) in zip(_sweep_instances(), runs):
         gp = generate_lp(seed=seed, rows=rows, cols=cols, shape=shape)
         exact = standardize(gp)
         floating = standardize(parse_lp(format_lp(gp), float_mode))

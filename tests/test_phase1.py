@@ -219,7 +219,9 @@ def reference_select_leaving(
             eligible = entry_sign > 0
         if not eligible:
             continue
-        ratio = mode.div(rhs, entry)  # the common denominator cancels
+        # the common denominator cancels; this is the quotient the removed
+        # mode.div returned, spelled out per mode
+        ratio = F(rhs, entry) if mode is EXACT else rhs / entry
         if best_ratio is None or ratio < best_ratio:
             best_row, best_ratio = i, ratio
         elif ratio == best_ratio:
@@ -383,7 +385,9 @@ def pivoted_dictionaries(draw):
 def test_no_row_joins_l_matches_the_per_label_checks(case):
     before, (r, m) = case
     after = before.pivot(r, m)
-    ratio = before.mode.div(before.num[r][0], before.num[r][m])
+    # the quotient the removed mode.div returned, spelled out per mode
+    rhs, entry = before.num[r][0], before.num[r][m]
+    ratio = F(rhs, entry) if before.mode is EXACT else rhs / entry
     monitor = af.InvariantMonitor()
     monitor.observe(before, Decision(m, r, ratio, None), after)
     joined = [v for v in monitor.violations if " joined L at " in v]
