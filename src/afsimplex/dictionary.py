@@ -19,6 +19,17 @@ In float mode the numerators are the float entries themselves and den is
 1.  Because den is positive, sign tests and comparisons within one
 dictionary read the numerators directly; `entries`, `entry`, `rhs`,
 `objective_value` and `corner` build the values.
+
+An exact grid of at least PACK_CELLS cells is a `packed.PackedDictionary`:
+each row is one int, sum_j num[i][j] * 2**(k*j), with every numerator in
+a signed k-bit slot, and a pivot updates a row with one big-int multiply,
+subtract and divide instead of a loop over its entries.  The width k rests
+on a proved bound t (every |numerator| and den at most 2**t; see
+`PackedDictionary._pivoted`), plus a sign bit, bits(m + 1) of headroom for
+row sums and `packed.GROW` spare bits; rows are re-packed wider before the
+bound can outgrow k.  A step decodes only what it reads: column 0 (kept
+per dictionary), the pivot column, row 0 and the phase-1 row sum.
+Smaller grids and float mode keep tuple rows.
 """
 
 from __future__ import annotations
@@ -29,6 +40,13 @@ from typing import Callable, NamedTuple
 
 from .model import StandardProblem, numerators
 from .numeric import EXACT, ExactMode, NumericMode, Value
+
+# Exact grids of at least this many cells, (m + 1) * (n + 1), hold each row
+# as one int (packed.PackedDictionary).  Solving generate_lp(seed, n, n)
+# both ways, packed rows took 1.3x the time at 36 cells, 1.1x at 144, 1.0x
+# at 256, 0.8x at 324 and 0.66x at 441.  The oracle sweep's grids (at most
+# 7 x 13) stay below it and the exact ladders (21 x 21 and up) above it.
+PACK_CELLS = 256
 
 
 class ZeroPivot(ValueError):
@@ -92,8 +110,10 @@ class Dictionary:
         "basis", "nonbasis", "num", "den", "mode", "m", "n", "_exact", "_d0", "_scaled"
     )
 
-    def __init__(
-        self,
+    packed = False
+
+    def __new__(
+        cls,
         basis: tuple[Label, ...],
         nonbasis: tuple[Label, ...],
         entries: tuple[tuple[Value, ...], ...],
@@ -109,21 +129,29 @@ class Dictionary:
         if set(basis) & set(nonbasis):
             raise ValueError("a label cannot be basic and nonbasic at once")
         num, den = numerators(rows, mode)
-        self._set(basis, nonbasis, num, den, mode, den, frozenset(basis))
+        return Dictionary.from_numerators(basis, nonbasis, num, den, mode)
 
     @classmethod
     def from_numerators(cls, basis, nonbasis, num, den, mode: NumericMode) -> "Dictionary":
         """The dictionary whose entries are num[i][j] / den, den being its
         D0 (1 in float mode), as the constructor would build it from those
-        values; the shape is the caller's to keep."""
-        d = object.__new__(cls)
-        d._set(basis, nonbasis, num, den, mode, den, frozenset(basis))
+        values; the shape is the caller's to keep.  An exact grid of at
+        least PACK_CELLS cells comes back as a `packed.PackedDictionary`."""
+        scaled = frozenset(basis)
+        if isinstance(mode, ExactMode) and len(num) * len(num[0]) >= PACK_CELLS:
+            # Imported here, so that a run that never packs never compiles it.
+            from .packed import PackedDictionary
+
+            return PackedDictionary._packing(basis, nonbasis, num, den, mode, den, scaled)
+        d = object.__new__(Dictionary)
+        d._set(basis, nonbasis, den, mode, den, scaled)
+        d.num = num
         return d
 
-    def _set(self, basis, nonbasis, num, den, mode, d0, scaled) -> None:
+    def _set(self, basis, nonbasis, den, mode, d0, scaled) -> None:
+        """Every field but the numerators."""
         self.basis = basis
         self.nonbasis = nonbasis
-        self.num = num
         self.den = den
         self.mode = mode
         self.m = len(basis)
@@ -136,8 +164,9 @@ class Dictionary:
         """A dictionary reached from this one; label scales carry over
         unless `scaled` replaces the set of labels scaled by D0."""
         d = object.__new__(Dictionary)
-        d._set(basis, nonbasis, num, den, self.mode, self._d0,
+        d._set(basis, nonbasis, den, self.mode, self._d0,
                self._scaled if scaled is None else scaled)
+        d.num = num
         return d
 
     def __eq__(self, other) -> bool:
@@ -170,6 +199,10 @@ class Dictionary:
     def entry(self, i: int, j: int) -> Value:
         return self.value(self.num[i][j])
 
+    def row(self, i: int) -> tuple:
+        """Numerators of row i."""
+        return self.num[i]
+
     def rhs(self, i: int) -> Value:
         return self.value(self.num[i][0])
 
@@ -201,16 +234,22 @@ class Dictionary:
         """
         if not (1 <= r <= self.m and 1 <= m <= self.n):
             raise IndexError(f"pivot ({r}, {m}) outside dictionary")
+        basis = list(self.basis)
+        nonbasis = list(self.nonbasis)
+        basis[r - 1], nonbasis[m - 1] = nonbasis[m - 1], basis[r - 1]
+        return self._pivoted(r, m, tuple(basis), tuple(nonbasis))
+
+    def _zero_pivot(self, r: int, m: int) -> ZeroPivot:
+        return ZeroPivot(f"entry ({r}, {m}) = {self.entry(r, m)!r} classifies as zero")
+
+    def _pivoted(self, r: int, m: int, basis, nonbasis) -> "Dictionary":
         if self.mode.sign(self.num[r][m]) == 0:
-            raise ZeroPivot(f"entry ({r}, {m}) = {self.entry(r, m)!r} classifies as zero")
+            raise self._zero_pivot(r, m)
         den, pivot_row, update = self._rule(r, m)
         num = tuple(
             pivot_row if i == r else update(row) for i, row in enumerate(self.num)
         )
-        basis = list(self.basis)
-        nonbasis = list(self.nonbasis)
-        basis[r - 1], nonbasis[m - 1] = nonbasis[m - 1], basis[r - 1]
-        return self._derive(tuple(basis), tuple(nonbasis), num, den)
+        return self._derive(basis, nonbasis, num, den)
 
     def carry(self, row: tuple, r: int, m: int) -> tuple:
         """An extra row over this dictionary's den (an objective row that
@@ -219,7 +258,7 @@ class Dictionary:
 
     def _rule(self, r: int, m: int) -> tuple[int, tuple, Callable[[tuple], tuple]]:
         """(new den, new pivot row, update of any other row) for (r, m)."""
-        prow = self.num[r]
+        prow = self.row(r)
         p = prow[m]
         if not self._exact:
 
@@ -278,6 +317,11 @@ class Dictionary:
             [label.kind is kind for label in self.basis + self.nonbasis]
         )
         value = self.value
+        if self.packed:
+            for label, x in zip(self.basis, self.column(0)[1:]):
+                if label.kind is kind:
+                    values[label.index - 1] = value(x)
+            return tuple(values)
         for label, row in zip(self.basis, self.num[1:]):
             if label.kind is kind:
                 values[label.index - 1] = value(row[0])

@@ -63,9 +63,12 @@ class GeneralProblem:
                 seen.add(var)
                 registry.append(var)
         object.__setattr__(self, "variables", tuple(registry))
-        coerce = self.mode.coerce
+        # A value already of the mode's type skips the coerce call.
+        coerce, kind = self.mode.coerce, type(self.mode.zero)
         object.__setattr__(
-            self, "objective", {v: coerce(x) for v, x in self.objective.items()}
+            self,
+            "objective",
+            {v: x if type(x) is kind else coerce(x) for v, x in self.objective.items()},
         )
         names = [con.name for con in self.constraints]
         if len(set(names)) != len(names):
@@ -73,9 +76,9 @@ class GeneralProblem:
         coerced = tuple(
             Constraint(
                 con.name,
-                {v: coerce(x) for v, x in con.coeffs.items()},
+                {v: x if type(x) is kind else coerce(x) for v, x in con.coeffs.items()},
                 con.relation,
-                coerce(con.rhs),
+                con.rhs if type(con.rhs) is kind else coerce(con.rhs),
             )
             for con in self.constraints
         )

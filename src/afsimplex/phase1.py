@@ -26,6 +26,9 @@ class NoEligibleRow(RuntimeError):
 
 def infeasible_rows(d: Dictionary) -> frozenset[int]:
     """Indices of rows whose basic variable is currently negative."""
+    if d.packed:
+        rhs = d.column(0)
+        return frozenset(i for i in range(1, d.m + 1) if rhs[i] < 0)
     sign = d.mode.sign
     return frozenset(i for i in range(1, d.m + 1) if sign(d.num[i][0]) < 0)
 
@@ -35,6 +38,9 @@ def infeasibility_sum(d: Dictionary) -> Value:
     rows = infeasible_rows(d)
     if not rows:
         return d.mode.zero
+    if d.packed:
+        rhs = d.column(0)
+        return d.value(-sum([rhs[i] for i in rows]))
     total = 0
     for i in rows:
         total -= d.num[i][0]
@@ -45,6 +51,8 @@ def row_sum(d: Dictionary, rows: Iterable[int]) -> list:
     """Numerators, over d.den, of the sum of the given rows, column 0
     included (zeros when there are none).  The rows are added one after
     another in the order given, so a float sum is reproducible."""
+    if d.packed:
+        return list(d.sum_rows(rows))
     total = [0] * (d.n + 1)
     for i in rows:
         total = [x + y for x, y in zip(total, d.num[i])]
@@ -100,10 +108,15 @@ def select_leaving(
     """
     mode = d.mode
     exact = isinstance(mode, ExactMode)
+    # rows[i][0] and rows[i][j] are row i's rhs and column-m numerators.
+    if d.packed:
+        rows, j = tuple(zip(d.column(0), d.column(m))), 1
+    else:
+        rows, j = d.num, m
     best_row: Optional[int] = None
     best = None  # the best row's ratio, in exact mode as (|rhs|, |entry|)
     for i in range(1, d.m + 1):
-        rhs, entry = d.num[i][0], d.num[i][m]
+        rhs, entry = rows[i][0], rows[i][j]
         entry_sign = mode.sign(entry)
         if mode.sign(rhs) < 0:
             eligible = entry_sign < 0
@@ -136,8 +149,10 @@ def break_tie(d: Dictionary, m: int, current: int, challenger: int, rule: TieBre
     if rule is TieBreak.SMALLEST_LABEL:
         keep = d.row_label(current) < d.row_label(challenger)
     else:
-        cur = abs(d.num[current][m])
-        cha = abs(d.num[challenger][m])
+        if d.packed:
+            cur, cha = abs(d.column(m)[current]), abs(d.column(m)[challenger])
+        else:
+            cur, cha = abs(d.num[current][m]), abs(d.num[challenger][m])
         if cur == cha:
             keep = d.row_label(current) < d.row_label(challenger)
         elif rule is TieBreak.SMALLEST_ABS_PIVOT:

@@ -25,7 +25,7 @@ def phase2_step(
     if rows:
         i = min(rows)
         raise NotPrimalFeasible(f"row {i} has rhs {d.rhs(i)!r}")
-    entering = select_entering(d.num[0][1:], d.nonbasis, d.mode)
+    entering = select_entering(d.row(0)[1:], d.nonbasis, d.mode)
     if entering is None:
         return Decision(None, None, None, Status.OPTIMAL)
     best_row, best_ratio = select_leaving(d, entering, tie_break)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .dictionary import Dictionary, LabelKind, artificial, initial_dictionary, slack
+from .dictionary import Dictionary, LabelKind, artificial, slack, structural
 from .model import StandardProblem
 from .numeric import ExactMode, Value
 from .phase1 import row_sum, select_entering, select_leaving
@@ -104,21 +104,23 @@ def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
     -1 (numerator -D0) per artificial.  The auxiliary row expresses minus
     the artificial total over the nonbasic columns.
     """
-    d = initial_dictionary(sp)
-    mode = d.mode
-    negative = [i for i in range(1, d.m + 1) if mode.sign(d.num[i][0]) < 0]
+    mode = sp.mode
+    num, den = sp.grid
+    negative = [i for i in range(1, sp.m + 1) if mode.sign(num[i][0]) < 0]
     if isinstance(mode, ExactMode):
-        zero, unit = 0, -d.den
+        zero, unit = 0, -den
     else:
         zero, unit = mode.zero, mode.coerce(-1)
     pad = (zero,) * len(negative)
-    rows = [row + pad for row in d.num]
-    basis = list(d.basis)
+    rows = [row + pad for row in num]
+    basis = [slack(i) for i in range(1, sp.m + 1)]
     for k, i in enumerate(negative):
-        rows[i] = (*[-x for x in d.num[i]], *pad[:k], unit, *pad[k + 1 :])
+        rows[i] = (*[-x for x in num[i]], *pad[:k], unit, *pad[k + 1 :])
         basis[i - 1] = artificial(i)
-    columns = d.nonbasis + tuple(slack(i) for i in negative)
-    inner = Dictionary.from_numerators(tuple(basis), columns, tuple(rows), d.den, mode)
+    columns = tuple(structural(j) for j in range(1, sp.p + 1)) + tuple(
+        slack(i) for i in negative
+    )
+    inner = Dictionary.from_numerators(tuple(basis), columns, tuple(rows), den, mode)
     # The auxiliary row is minus the sum of the artificial rows.
     aux = tuple(-x for x in row_sum(inner, artificial_rows(inner)))
     return AuxiliaryDictionary(inner, aux)
@@ -145,7 +147,7 @@ def traditional_step(
 
     if use_trick:
         for r in art_rows:
-            if mode.sign(d.num[r][0]) == 0:
+            if mode.sign(d.column(0)[r] if d.packed else d.num[r][0]) == 0:
                 m = aux.conjugate_column(r)
                 return Decision(m, r, mode.zero, None, via_conjugate=True)
 
@@ -158,7 +160,8 @@ def traditional_step(
         # swap each out through any nonzero entry of its row (the
         # conjugate slack guarantees one exists).
         r = art_rows[0]
-        nonzero = [j for j in range(1, d.n + 1) if mode.sign(d.num[r][j]) != 0]
+        row = d.row(r)
+        nonzero = [j for j in range(1, d.n + 1) if mode.sign(row[j]) != 0]
         if not nonzero:
             raise RuntimeError(f"artificial row {r} is identically zero")
         best = min(nonzero, key=d.column_label)

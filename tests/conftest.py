@@ -36,6 +36,19 @@ r2: 1/2 x1 - 90 x2 - 1/50 x3 + 3 x4 <= 0;
 r3: x3 <= 1;
 """
 
+# Beale's objective as one violated row: under Dantzig pricing with
+# smallest-label ties both phase-1 methods cycle through degenerate pivots.
+PHASE1_CYCLER_TEXT = """\
+max: x1;
+r1: 1/4 x1 - 60 x2 - 1/25 x3 + 9 x4 <= 0;
+r2: 1/2 x1 - 90 x2 - 1/50 x3 + 3 x4 <= 0;
+r3: x3 <= 1;
+r4: 3/4 x1 - 150 x2 + 1/50 x3 - 6 x4 >= 1/40;
+"""
+
+# The same rows with r4 >= 1: empty, and it cycles the same way.
+PHASE1_CYCLER_TWIN_TEXT = PHASE1_CYCLER_TEXT.replace(">= 1/40;", ">= 1;")
+
 
 @pytest.fixture(scope="session", autouse=True)
 def package_path_for_child_processes():

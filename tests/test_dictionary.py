@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afsimplex as af
+from afsimplex import dictionary
 from afsimplex.dictionary import (
     Dictionary,
     LabelKind,
@@ -18,6 +19,8 @@ from afsimplex.dictionary import (
     slack,
     structural,
 )
+from afsimplex.packed import PackedDictionary
+from afsimplex.phase1 import row_sum
 
 
 def reference_pivot(entries, r, m):
@@ -354,3 +357,101 @@ def test_label_keeps_the_dataclass_order_hash_equality_and_names():
     assert repr(tuple(made[:2])) == "(x1, x2)"
     # As a tuple, a label now also equals its plain (kind, index) pair.
     assert slack(3) == (LabelKind.SLACK, 3) == (1, 3)
+
+
+def _twins(entries, monkeypatch):
+    """The same grid as a PackedDictionary and as a tuple-row Dictionary."""
+    m, n = len(entries) - 1, len(entries[0]) - 1
+    basis = tuple(slack(i + 1) for i in range(m))
+    nonbasis = tuple(structural(j + 1) for j in range(n))
+    packed = Dictionary(basis, nonbasis, entries)
+    with monkeypatch.context() as patch:
+        patch.setattr(dictionary, "PACK_CELLS", float("inf"))
+        plain = Dictionary(basis, nonbasis, entries)
+    assert packed.packed and not plain.packed
+    return packed, plain
+
+
+def _assert_same_numerators(packed, plain, rng):
+    """Every decoded view of `packed` equals the tuple rows of `plain`."""
+    assert packed.den == plain.den
+    # Columns and rows first: decoding `num` would not read the packed rows.
+    for j in (*rng.sample(range(packed.n + 1), packed.n + 1), 0):
+        assert packed.column(j) == tuple(row[j] for row in plain.num)
+    for i in range(packed.m + 1):
+        assert packed.row(i) == plain.num[i]
+    rows = rng.sample(range(packed.m + 1), rng.randint(0, packed.m + 1))
+    assert row_sum(packed, rows) == row_sum(plain, rows)
+    assert packed.num == plain.num
+    assert max(packed.den, *[abs(x) for row in packed.num for x in row]) <= 2**packed._bound
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_packed_rows_match_tuple_rows_through_a_pivot_walk(seed, monkeypatch):
+    # 17 x 17 grids, integer on even seeds and rational (D0 > 1) on odd
+    # ones; pivots anywhere nonzero, negative ones included, and straight
+    # back (sigma = 1/D0), with columns dropped and the dictionary
+    # transposed on the way.  Entries grow until the slots are widened.
+    rng = random.Random(seed)
+    dens = (1,) if seed % 2 == 0 else (1, 2, 3, 5, 7)
+    entries = tuple(
+        tuple(F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(17)) for _ in range(17)
+    )
+    packed, plain = _twins(entries, monkeypatch)
+    if seed % 2:
+        assert packed.den > 1
+    start_width = packed._width
+    extra = plain.num[0]
+    last = None
+    for step in range(40):
+        _assert_same_numerators(packed, plain, rng)
+        if step % 13 == 12 and plain.n > 2:
+            j = rng.randint(1, plain.n)
+            packed, plain = packed.drop_column(j), plain.drop_column(j)
+            extra, last = extra[:j] + extra[j + 1 :], None
+            continue
+        if step % 17 == 16:
+            packed, plain = packed.negative_transpose(), plain.negative_transpose()
+            assert packed.packed and not plain.packed
+            extra, last = plain.num[0], None
+            continue
+        spots = [
+            (i, j)
+            for i in range(1, plain.m + 1)
+            for j in range(1, plain.n + 1)
+            if plain.num[i][j] != 0
+        ]
+        r, m = last if last is not None and rng.random() < 0.2 else rng.choice(spots)
+        assert packed.carry(extra, r, m) == plain.carry(extra, r, m)
+        extra = plain.carry(extra, r, m)
+        packed, plain = packed.pivot(r, m), plain.pivot(r, m)
+        last = (r, m)
+    _assert_same_numerators(packed, plain, rng)
+    assert packed._width > start_width
+
+
+def test_measured_bound_refuses_a_slot_at_two_to_the_t():
+    # A slot holds x in [-2**t, 2**t) for bound t: 2**t needs t + 1.
+    t = 40
+    for x, bound in ((2**t, t + 1), (2**t - 1, t), (-(2**t), t), (-(2**t) - 1, t + 1)):
+        entries = [[F(1)] * 17 for _ in range(17)]
+        entries[5][9] = F(x)
+        d = Dictionary(
+            tuple(slack(i + 1) for i in range(16)),
+            tuple(structural(j + 1) for j in range(16)),
+            entries,
+        )
+        assert d.packed
+        assert d._measured_bound() == bound
+
+
+def test_only_large_exact_grids_are_packed():
+    def grid(size, mode=af.EXACT):
+        labels = tuple(slack(i + 1) for i in range(size - 1))
+        cols = tuple(structural(j + 1) for j in range(size - 1))
+        return Dictionary(labels, cols, [[F(1)] * size] * size, mode)
+
+    assert dictionary.PACK_CELLS == 16 * 16
+    assert type(grid(15)) is Dictionary
+    assert type(grid(16)) is PackedDictionary
+    assert type(grid(16, af.FloatMode(1e-9))) is Dictionary

@@ -28,7 +28,13 @@ from afsimplex.numeric import EXACT, FloatMode
 from afsimplex.oracle import enumerate_vertices
 from afsimplex.trace import SolveConfig
 
-from conftest import CYCLER_TEXT, STRIP_TEXT, ladder_text
+from conftest import (
+    CYCLER_TEXT,
+    PHASE1_CYCLER_TEXT,
+    PHASE1_CYCLER_TWIN_TEXT,
+    STRIP_TEXT,
+    ladder_text,
+)
 
 WALK_LP = (Path(__file__).resolve().parent.parent / "demos" / "walk.lp").read_text()
 
@@ -94,6 +100,7 @@ GROUPS = {
     "walk": lambda: [WALK_LP],
     "strip": lambda: [STRIP_TEXT],
     "cycler": lambda: [CYCLER_TEXT],
+    "phase1_cycler": lambda: [PHASE1_CYCLER_TEXT, PHASE1_CYCLER_TWIN_TEXT],
     "sweep": sweep_texts,
     "ladder": ladder_texts,
 }
@@ -111,12 +118,23 @@ SOLVE_GOLDEN = {
     ("cycler", "float", "af"): "5fa041fa10d6501c88afbba8753c80142b214b43ec601262cee76b72d13d66d9",
     ("cycler", "float", "trad"): "1236f98ca2cf41fc5d27f00619a5929817c1d858f684963eb18cb838dba7d5d6",
     ("cycler", "float", "trick"): "1236f98ca2cf41fc5d27f00619a5929817c1d858f684963eb18cb838dba7d5d6",
+    # Exact mode stops at cycle_detected; float mode runs to iteration_limit.
+    ("phase1_cycler", "exact", "af"): "c0fb9a9e2dca6544175e1fa8a90b6c49764af02ae032f3d8ac2bec3612fdfa4d",
+    ("phase1_cycler", "exact", "trad"): "8396ed2835a27a6bb0504bbf465080837ef2167c632d62a01232c829d1edbadf",
+    ("phase1_cycler", "exact", "trick"): "8396ed2835a27a6bb0504bbf465080837ef2167c632d62a01232c829d1edbadf",
+    ("phase1_cycler", "float", "af"): "60a565e11d8980320aec3202973e0e00b87e75972803a69751c339d1dbbc5e09",
+    ("phase1_cycler", "float", "trad"): "9eb9e2c7c97ad992d31d435ea7fb30dede6b37df4010a638a4068218fb7c9edb",
+    ("phase1_cycler", "float", "trick"): "9eb9e2c7c97ad992d31d435ea7fb30dede6b37df4010a638a4068218fb7c9edb",
     ("sweep", "exact", "af"): "aa1399d7306578f37ea106c186f704151a0b83b33cb8fc668b33eb24b778c5d6",
     ("sweep", "exact", "trad"): "8e6eafd8da0106664efde449f55a82bfa800036383ed0e69b94f3a7008c79b24",
     ("sweep", "exact", "trick"): "776bd3fcac5224df51001c4f03df05ac00514560bbbee80e3fbfab718cc6aa63",
     ("sweep", "float", "af"): "483bddd8ca3759ea1ecd73816e2800ecdb9678e7fff9fc3b3ce54041f80a4bbc",
     ("sweep", "float", "trad"): "c0331aaf32f5d0938ca161d5437cf55074a26ca4dfaa0f8d68827e9b97c4a102",
     ("sweep", "float", "trick"): "5097207f5a5444be410a20a2ca2c79c091d605a8ec5c945b7fa28a1d2184c5de",
+    # 31 x 31 grids and larger: the exact ladder runs on packed rows.
+    ("ladder", "exact", "af"): "2276e46438d97f8c4db04f8b65c698b12ec037846bab003381bfc52da8165a09",
+    ("ladder", "exact", "trad"): "43cbe28c3fa76376b7925b8b08368837ca73648732fb3b8375fb0dfcb27e0f07",
+    ("ladder", "exact", "trick"): "43cbe28c3fa76376b7925b8b08368837ca73648732fb3b8375fb0dfcb27e0f07",
     ("ladder", "float", "af"): "98f6b99902a32c36a20d7754a89bc93e0da75a2be9222b9e3a642f40a57d7faa",
     ("ladder", "float", "trad"): "1de7f7c6460b6903ddf1187b5e6ddd4db6b578cbeb823fb4c99af608fe20ca42",
 }
@@ -124,6 +142,10 @@ SOLVE_GOLDEN = {
 COMPARE_GOLDEN = {
     "exact": "15dde6a33827db097ab3a849efb0e45c8f3b2b408b5dd10fdca6d6e1c2a2dd54",
     "float": "1ed695aa12309bdedc0385a605d1cd9272b961f2a4f98e7700c9394a861255d3",
+}
+
+LADDER_COMPARE_GOLDEN = {
+    "exact": "eb8e7480cdd2dc295e553711e3f345b50d0d1b4dc1556716b04fa7c5a68b0399",
 }
 
 ORACLE_GOLDEN = {
@@ -143,6 +165,11 @@ def test_solve_json_bytes_match_golden(group, mode_name, run):
 @pytest.mark.parametrize("mode_name", sorted(COMPARE_GOLDEN))
 def test_compare_json_bytes_match_golden(mode_name):
     assert compare_digest(sweep_texts(), mode_name) == COMPARE_GOLDEN[mode_name]
+
+
+@pytest.mark.parametrize("mode_name", sorted(LADDER_COMPARE_GOLDEN))
+def test_ladder_compare_json_bytes_match_golden(mode_name):
+    assert compare_digest(ladder_texts(), mode_name) == LADDER_COMPARE_GOLDEN[mode_name]
 
 
 @pytest.mark.parametrize("group", sorted(ORACLE_GOLDEN))

@@ -117,3 +117,24 @@ def test_values_coerced_to_mode():
     gp = af.parse_lp("max: 3 x;\nc1: x <= 4;\n")
     assert isinstance(gp.objective["x"], F)
     assert isinstance(gp.constraints[0].rhs, F)
+
+
+def test_values_of_the_mode_type_are_kept_and_floats_still_refused():
+    half = F(1, 2)
+    gp = af.GeneralProblem(
+        af.Sense.MAX, {"x": half}, (af.Constraint("c1", {"x": 3}, af.Relation.LE, half),)
+    )
+    assert gp.objective["x"] is half and gp.constraints[0].rhs is half
+    assert type(gp.constraints[0].coeffs["x"]) is F
+    for objective, coeffs, rhs in (({"x": 0.5}, {"x": 1}, 1), ({"x": 1}, {"x": 0.5}, 1),
+                                   ({"x": 1}, {"x": 1}, 0.5)):
+        with pytest.raises(TypeError, match="exact mode"):
+            af.GeneralProblem(
+                af.Sense.MAX, objective, (af.Constraint("c1", coeffs, af.Relation.LE, rhs),)
+            )
+    floats = af.GeneralProblem(
+        af.Sense.MAX, {"x": 0.5}, (af.Constraint("c1", {"x": "1/4"}, af.Relation.LE, 2),),
+        mode=af.FloatMode(1e-9),
+    )
+    assert floats.objective["x"] == 0.5 and floats.constraints[0].coeffs["x"] == 0.25
+    assert type(floats.constraints[0].rhs) is float

@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 from typing import Optional
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,7 @@ from afsimplex.phase1 import (
 )
 from afsimplex.trace import Decision, SolveConfig, Status, TieBreak
 
-from conftest import fractions_built_during, problem_from, replayed_pricing
+from conftest import fractions_built_during, ladder_text, problem_from, replayed_pricing
 
 
 def test_walk_golden_trace(walk_sp):
@@ -315,6 +316,18 @@ def test_monitor_collects_checks(walk_sp):
     d0 = initial_dictionary(walk_sp)
     af.run_phase1(d0, SolveConfig(), monitor=monitor)
     assert monitor.checks == 3
+    assert monitor.violations == []
+
+
+@pytest.mark.parametrize("shape", list(af.Shape), ids=lambda shape: shape.value)
+def test_monitor_holds_on_packed_rows(shape):
+    # 21 x 21 grids: the monitor's W, phi, rhs and entry reads go through
+    # the packed decoders.
+    d0 = initial_dictionary(problem_from(ladder_text(20, shape)))
+    assert d0.packed
+    monitor = af.InvariantMonitor()
+    _, _, trace = af.run_phase1(d0, SolveConfig(), monitor=monitor)
+    assert monitor.checks == trace.pivots > 0
     assert monitor.violations == []
 
 
