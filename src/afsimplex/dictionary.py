@@ -11,31 +11,30 @@ read as
 
 so an objective-row entry is the negated reduced cost of its column.
 
-Entries are stored as numerators `num` over one common denominator
-`den` > 0, so d_ij = num[i][j] / den.  In exact mode the numerators are
-integers and a pivot is the integer-preserving step of Edmonds (1967) and
-Bareiss (1968): every division in it is exact and no gcd is ever taken.
-In float mode the numerators are the float entries themselves and den is
-1.  Because den is positive, sign tests and comparisons within one
-dictionary read the numerators directly; `entries`, `entry`, `rhs`,
+Entries are stored as numerators over one common denominator `den` > 0,
+so d_ij = N_ij / den.  In exact mode the numerators are integers and a
+pivot is the integer-preserving step of Edmonds (1967) and Bareiss
+(1968): every division in it is exact and no gcd is ever taken.  In float
+mode the numerators are the float entries themselves and den is 1.
+Because den is positive, sign tests and comparisons within one dictionary
+read the numerators directly; `entries`, `entry`, `rhs`,
 `objective_value` and `corner` build the values.
 
-An exact grid of at least PACK_CELLS cells is a `packed.PackedDictionary`:
-each row is one int, sum_j num[i][j] * 2**(k*j), with every numerator in
-a signed k-bit slot, and a pivot updates a row with one big-int multiply,
-subtract and divide instead of a loop over its entries.  The width k rests
-on a proved bound t (every |numerator| and den at most 2**t; see
-`PackedDictionary._pivoted`), plus a sign bit, bits(m + 1) of headroom for
-row sums and `packed.GROW` spare bits; rows are re-packed wider before the
-bound can outgrow k.  A step decodes only what it reads: column 0 (kept
-per dictionary), the pivot column, row 0 and the phase-1 row sum.
-Smaller grids and float mode keep tuple rows.
+Steps read the numerators through three methods: `column(j)` (column 0
+and the last other column read are kept per dictionary), `row(i)` and
+`sum_rows(rows)`.  How a row is stored is known only here and in
+`packed`: smaller grids and float mode keep a tuple per row in `num`, and
+an exact grid of at least PACK_CELLS cells is a `packed.PackedDictionary`,
+whose row i is the one int sum_j N_ij * 2**(k*j), so that a pivot updates
+a row with one big-int multiply, subtract and divide instead of a loop
+over its entries (see that class and the README's "Packed rows").
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .model import StandardProblem, numerators
@@ -107,10 +106,9 @@ class Dictionary:
     """
 
     __slots__ = (
-        "basis", "nonbasis", "num", "den", "mode", "m", "n", "_exact", "_d0", "_scaled"
+        "basis", "nonbasis", "num", "den", "mode", "m", "n", "_exact", "_d0", "_scaled",
+        "_rhs", "_col",
     )
-
-    packed = False
 
     def __new__(
         cls,
@@ -159,6 +157,7 @@ class Dictionary:
         self._exact = isinstance(mode, ExactMode)
         self._d0 = d0
         self._scaled = scaled
+        self._rhs = self._col = None
 
     def _derive(self, basis, nonbasis, num, den, scaled=None) -> "Dictionary":
         """A dictionary reached from this one; label scales carry over
@@ -197,18 +196,41 @@ class Dictionary:
         return tuple(tuple(Fraction(x, den) for x in row) for row in self.num)
 
     def entry(self, i: int, j: int) -> Value:
-        return self.value(self.num[i][j])
+        return self.value(self.row(i)[j])
 
     def row(self, i: int) -> tuple:
         """Numerators of row i."""
         return self.num[i]
 
+    def column(self, j: int) -> tuple:
+        """Numerators of column j, rows 0..m; column 0 and the last other
+        column read are kept."""
+        if j == 0:
+            if self._rhs is None:
+                self._rhs = self._column(0)
+            return self._rhs
+        if self._col is None or self._col[0] != j:
+            self._col = (j, self._column(j))
+        return self._col[1]
+
+    def _column(self, j: int) -> tuple:
+        return tuple(map(itemgetter(j), self.num))
+
+    def sum_rows(self, rows) -> tuple:
+        """Numerators of the sum of the given rows, column 0 included
+        (zeros when there are none).  The rows are added one after another
+        in the order given, so a float sum is reproducible."""
+        total = [0] * (self.n + 1)
+        for i in rows:
+            total = [x + y for x, y in zip(total, self.num[i])]
+        return tuple(total)
+
     def rhs(self, i: int) -> Value:
-        return self.value(self.num[i][0])
+        return self.value(self.column(0)[i])
 
     @property
     def objective_value(self) -> Value:
-        return self.value(self.num[0][0])
+        return self.value(self.column(0)[0])
 
     def row_label(self, i: int) -> Label:
         return self.basis[i - 1]
@@ -317,14 +339,9 @@ class Dictionary:
             [label.kind is kind for label in self.basis + self.nonbasis]
         )
         value = self.value
-        if self.packed:
-            for label, x in zip(self.basis, self.column(0)[1:]):
-                if label.kind is kind:
-                    values[label.index - 1] = value(x)
-            return tuple(values)
-        for label, row in zip(self.basis, self.num[1:]):
+        for label, x in zip(self.basis, self.column(0)[1:]):
             if label.kind is kind:
-                values[label.index - 1] = value(row[0])
+                values[label.index - 1] = value(x)
         return tuple(values)
 
     def negative_transpose(self) -> "Dictionary":

@@ -1,14 +1,15 @@
 """Exact dictionaries whose rows are held as one int each.
 
 `Dictionary.from_numerators` builds a PackedDictionary for an exact grid
-of at least `dictionary.PACK_CELLS` cells; see the `dictionary` module
-docstring and the README's "Packed rows" for the layout and the bound.
+of at least `dictionary.PACK_CELLS` cells.  Only this module and
+`dictionary` know the layout: callers read a PackedDictionary through
+`column`, `row` and `sum_rows` as they read any Dictionary.  The README's
+"Packed rows" gives the layout and the proof of the width.
 """
 
 from __future__ import annotations
 
 from .dictionary import Dictionary
-from .numeric import Value
 
 # Spare bits per slot when rows are packed: pivots fill them before the
 # rows are re-packed wider.  Measured on the exact ladders, 24 to 96 spare
@@ -36,14 +37,14 @@ class PackedDictionary(Dictionary):
     divide on big ints; every slot's quotient is exact, so the packed floor
     division is the slot-by-slot one.  `_bound` is a proved t with every
     numerator and den of magnitude at most 2**t (see `_pivoted`), and k
-    keeps the headroom of `_slot_width` over it.  Decisions decode only
-    what they read: `column` (column 0 cached), `row`, `sum_rows`; `num`
-    decodes the whole grid once, for the rare paths and for tests.
+    keeps the headroom of `_slot_width` over it: a sign bit, bits(m + 1)
+    so that a sum of rows still decodes, and GROW bits to grow into.
+    `column`, `row` and `sum_rows` decode only what they return; `num`
+    decodes the whole grid once, for the negative transpose, `entries` and
+    tests.
     """
 
-    __slots__ = ("rows", "_width", "_bias", "_bound", "_num", "_rhs", "_col")
-
-    packed = True
+    __slots__ = ("rows", "_width", "_bias", "_bound", "_num")
 
     @classmethod
     def _packing(cls, basis, nonbasis, num, den, mode, d0, scaled) -> "PackedDictionary":
@@ -62,7 +63,7 @@ class PackedDictionary(Dictionary):
         d._width = width
         d._bias = bias
         d._bound = bound
-        d._num = d._rhs = d._col = None
+        d._num = None
         return d
 
     def _derive(self, basis, nonbasis, num, den, scaled=None) -> "PackedDictionary":
@@ -85,18 +86,7 @@ class PackedDictionary(Dictionary):
     def row(self, i: int) -> tuple[int, ...]:
         return self._decode(self.rows[i])
 
-    def column(self, j: int) -> tuple[int, ...]:
-        """Numerators of column j, rows 0..m; column 0 and the last other
-        column read are kept."""
-        if j == 0:
-            if self._rhs is None:
-                self._rhs = self._decode_column(0)
-            return self._rhs
-        if self._col is None or self._col[0] != j:
-            self._col = (j, self._decode_column(j))
-        return self._col[1]
-
-    def _decode_column(self, j: int) -> tuple[int, ...]:
+    def _column(self, j: int) -> tuple[int, ...]:
         half = 1 << (self._width - 1)
         mask = (half << 1) - 1
         if j == 0:
@@ -107,18 +97,7 @@ class PackedDictionary(Dictionary):
         return tuple([(((x >> shift) + 1 >> 1 & mask) ^ half) - half for x in self.rows])
 
     def sum_rows(self, rows) -> tuple[int, ...]:
-        """Numerators of the sum of the given rows (zeros when none)."""
         return self._decode(sum([self.rows[i] for i in rows]))
-
-    def entry(self, i: int, j: int) -> Value:
-        return self.value(self.column(j)[i])
-
-    def rhs(self, i: int) -> Value:
-        return self.value(self.column(0)[i])
-
-    @property
-    def objective_value(self) -> Value:
-        return self.value(self.column(0)[0])
 
     def _measured_bound(self) -> int:
         """The least t with every numerator in [-2**t, 2**t) and den <= 2**t."""

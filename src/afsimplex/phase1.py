@@ -12,7 +12,7 @@ infeasible row past zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .dictionary import Dictionary, Label
 from .numeric import ExactMode, Value
@@ -26,11 +26,8 @@ class NoEligibleRow(RuntimeError):
 
 def infeasible_rows(d: Dictionary) -> frozenset[int]:
     """Indices of rows whose basic variable is currently negative."""
-    if d.packed:
-        rhs = d.column(0)
-        return frozenset(i for i in range(1, d.m + 1) if rhs[i] < 0)
-    sign = d.mode.sign
-    return frozenset(i for i in range(1, d.m + 1) if sign(d.num[i][0]) < 0)
+    rhs, sign = d.column(0), d.mode.sign
+    return frozenset(i for i in range(1, d.m + 1) if sign(rhs[i]) < 0)
 
 
 def infeasibility_sum(d: Dictionary) -> Value:
@@ -38,30 +35,13 @@ def infeasibility_sum(d: Dictionary) -> Value:
     rows = infeasible_rows(d)
     if not rows:
         return d.mode.zero
-    if d.packed:
-        rhs = d.column(0)
-        return d.value(-sum([rhs[i] for i in rows]))
-    total = 0
-    for i in rows:
-        total -= d.num[i][0]
-    return d.value(total)
-
-
-def row_sum(d: Dictionary, rows: Iterable[int]) -> list:
-    """Numerators, over d.den, of the sum of the given rows, column 0
-    included (zeros when there are none).  The rows are added one after
-    another in the order given, so a float sum is reproducible."""
-    if d.packed:
-        return list(d.sum_rows(rows))
-    total = [0] * (d.n + 1)
-    for i in rows:
-        total = [x + y for x, y in zip(total, d.num[i])]
-    return total
+    rhs = d.column(0)
+    return d.value(-sum([rhs[i] for i in rows]))
 
 
 def phase1_objective_vector(d: Dictionary, rows: frozenset[int]) -> tuple[Value, ...]:
     """W: the columnwise sum of the infeasible rows (zero vector if none)."""
-    return tuple(map(d.value, row_sum(d, rows)[1:]))
+    return tuple(map(d.value, d.sum_rows(rows)[1:]))
 
 
 def select_entering(
@@ -108,15 +88,11 @@ def select_leaving(
     """
     mode = d.mode
     exact = isinstance(mode, ExactMode)
-    # rows[i][0] and rows[i][j] are row i's rhs and column-m numerators.
-    if d.packed:
-        rows, j = tuple(zip(d.column(0), d.column(m))), 1
-    else:
-        rows, j = d.num, m
+    rhs_column, column = d.column(0), d.column(m)
     best_row: Optional[int] = None
     best = None  # the best row's ratio, in exact mode as (|rhs|, |entry|)
     for i in range(1, d.m + 1):
-        rhs, entry = rows[i][0], rows[i][j]
+        rhs, entry = rhs_column[i], column[i]
         entry_sign = mode.sign(entry)
         if mode.sign(rhs) < 0:
             eligible = entry_sign < 0
@@ -149,10 +125,8 @@ def break_tie(d: Dictionary, m: int, current: int, challenger: int, rule: TieBre
     if rule is TieBreak.SMALLEST_LABEL:
         keep = d.row_label(current) < d.row_label(challenger)
     else:
-        if d.packed:
-            cur, cha = abs(d.column(m)[current]), abs(d.column(m)[challenger])
-        else:
-            cur, cha = abs(d.num[current][m]), abs(d.num[challenger][m])
+        column = d.column(m)
+        cur, cha = abs(column[current]), abs(column[challenger])
         if cur == cha:
             keep = d.row_label(current) < d.row_label(challenger)
         elif rule is TieBreak.SMALLEST_ABS_PIVOT:
@@ -167,7 +141,7 @@ def phase1_step(d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL) ->
     rows = infeasible_rows(d)
     if not rows:
         return Decision(None, None, None, Status.FEASIBLE)
-    m = select_entering(row_sum(d, rows)[1:], d.nonbasis, d.mode)
+    m = select_entering(d.sum_rows(rows)[1:], d.nonbasis, d.mode)
     if m is None:
         # W >= 0 over rows that must all rise: no entering column can help.
         return Decision(None, None, None, Status.INFEASIBLE)

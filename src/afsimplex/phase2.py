@@ -47,9 +47,9 @@ def improving_ray(d: Dictionary, column: int) -> tuple[Value, ...]:
     target = d.column_label(column)
     if target.kind is kind:
         ray[target.index - 1] = d.mode.coerce(1)
-    for i, label in enumerate(d.basis, start=1):
+    for label, x in zip(d.basis, d.column(column)[1:]):
         if label.kind is kind:
-            ray[label.index - 1] = -d.entry(i, column)
+            ray[label.index - 1] = -d.value(x)
     return tuple(ray)
 
 

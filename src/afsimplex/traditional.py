@@ -23,7 +23,7 @@ from typing import Optional
 from .dictionary import Dictionary, LabelKind, artificial, slack, structural
 from .model import StandardProblem
 from .numeric import ExactMode, Value
-from .phase1 import row_sum, select_entering, select_leaving
+from .phase1 import select_entering, select_leaving
 from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
 
@@ -82,12 +82,13 @@ class AuxiliaryDictionary:
         """
         d = self.inner
         sign = d.mode.sign
-        if sign(d.num[r][0]) != 0:
+        column = d.column(m)
+        if sign(d.column(0)[r]) != 0:
             raise ValueError("conjugate pivot needs a zero-valued pivot row")
-        if sign(d.num[r][m] + d.den) != 0:  # N_rm / D = -1 exactly when N_rm = -D
+        if sign(column[r] + d.den) != 0:  # N_rm / D = -1 exactly when N_rm = -D
             raise ValueError("conjugate slack coefficient is not -1")
         for i in range(1, d.m + 1):
-            if i != r and sign(d.num[i][m]) != 0:
+            if i != r and sign(column[i]) != 0:
                 raise RuntimeError(
                     f"conjugate slack column leaks into row {i}; dictionary corrupt"
                 )
@@ -122,7 +123,7 @@ def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
     )
     inner = Dictionary.from_numerators(tuple(basis), columns, tuple(rows), den, mode)
     # The auxiliary row is minus the sum of the artificial rows.
-    aux = tuple(-x for x in row_sum(inner, artificial_rows(inner)))
+    aux = tuple(-x for x in inner.sum_rows(artificial_rows(inner)))
     return AuxiliaryDictionary(inner, aux)
 
 
@@ -147,7 +148,7 @@ def traditional_step(
 
     if use_trick:
         for r in art_rows:
-            if mode.sign(d.column(0)[r] if d.packed else d.num[r][0]) == 0:
+            if mode.sign(d.column(0)[r]) == 0:
                 m = aux.conjugate_column(r)
                 return Decision(m, r, mode.zero, None, via_conjugate=True)
 

@@ -20,7 +20,6 @@ from afsimplex.dictionary import (
     structural,
 )
 from afsimplex.packed import PackedDictionary
-from afsimplex.phase1 import row_sum
 
 
 def reference_pivot(entries, r, m):
@@ -368,20 +367,34 @@ def _twins(entries, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(dictionary, "PACK_CELLS", float("inf"))
         plain = Dictionary(basis, nonbasis, entries)
-    assert packed.packed and not plain.packed
+    assert type(packed) is PackedDictionary and type(plain) is Dictionary
     return packed, plain
 
 
 def _assert_same_numerators(packed, plain, rng):
-    """Every decoded view of `packed` equals the tuple rows of `plain`."""
+    """Every read of `packed` equals the same read of the tuple-row `plain`,
+    and each of those equals what `plain.num` holds."""
     assert packed.den == plain.den
-    # Columns and rows first: decoding `num` would not read the packed rows.
+    # Reads first: decoding `num` would not read the packed rows.  `plain`
+    # compared with its own `num` shows that no column it keeps came over
+    # from the dictionary it was pivoted, dropped or transposed from.
     for j in (*rng.sample(range(packed.n + 1), packed.n + 1), 0):
-        assert packed.column(j) == tuple(row[j] for row in plain.num)
+        assert packed.column(j) == plain.column(j) == tuple(row[j] for row in plain.num)
     for i in range(packed.m + 1):
-        assert packed.row(i) == plain.num[i]
-    rows = rng.sample(range(packed.m + 1), rng.randint(0, packed.m + 1))
-    assert row_sum(packed, rows) == row_sum(plain, rows)
+        assert packed.row(i) == plain.row(i) == plain.num[i]
+        assert packed.rhs(i) == plain.rhs(i)
+        j = rng.randint(0, packed.n)
+        assert packed.entry(i, j) == plain.entry(i, j)
+    for size in (0, rng.randint(1, packed.m + 1)):
+        rows = rng.sample(range(packed.m + 1), size)
+        assert packed.sum_rows(rows) == plain.sum_rows(rows)
+    assert packed.objective_value == plain.objective_value
+    # corner() reads the structural labels as x1..xp, which a dropped
+    # structural column breaks.
+    labels = packed.basis + packed.nonbasis
+    p = sum(label.kind is LabelKind.STRUCTURAL for label in labels)
+    if all(structural(j) in labels for j in range(1, p + 1)):
+        assert packed.corner() == plain.corner()
     assert packed.num == plain.num
     assert max(packed.den, *[abs(x) for row in packed.num for x in row]) <= 2**packed._bound
 
@@ -412,7 +425,7 @@ def test_packed_rows_match_tuple_rows_through_a_pivot_walk(seed, monkeypatch):
             continue
         if step % 17 == 16:
             packed, plain = packed.negative_transpose(), plain.negative_transpose()
-            assert packed.packed and not plain.packed
+            assert type(packed) is PackedDictionary and type(plain) is Dictionary
             extra, last = plain.num[0], None
             continue
         spots = [
@@ -441,7 +454,7 @@ def test_measured_bound_refuses_a_slot_at_two_to_the_t():
             tuple(structural(j + 1) for j in range(16)),
             entries,
         )
-        assert d.packed
+        assert isinstance(d, PackedDictionary)
         assert d._measured_bound() == bound
 
 

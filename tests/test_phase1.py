@@ -16,13 +16,13 @@ from afsimplex.dictionary import (
     structural,
 )
 from afsimplex.numeric import EXACT, FloatMode, Value
+from afsimplex.packed import PackedDictionary
 from afsimplex.phase1 import (
     break_tie,
     infeasibility_sum,
     infeasible_rows,
     phase1_objective_vector,
     phase1_step,
-    row_sum,
     select_leaving,
 )
 from afsimplex.trace import Decision, SolveConfig, Status, TieBreak
@@ -324,7 +324,7 @@ def test_monitor_holds_on_packed_rows(shape):
     # 21 x 21 grids: the monitor's W, phi, rhs and entry reads go through
     # the packed decoders.
     d0 = initial_dictionary(problem_from(ladder_text(20, shape)))
-    assert d0.packed
+    assert isinstance(d0, PackedDictionary)
     monitor = af.InvariantMonitor()
     _, _, trace = af.run_phase1(d0, SolveConfig(), monitor=monitor)
     assert monitor.checks == trace.pivots > 0
@@ -427,19 +427,19 @@ def test_row_sum_prices_w_as_the_column_sums_did(case, data):
     # Float W picks the entering column, so its summation order is kept.
     d, _ = case
     rows = frozenset(data.draw(st.sets(st.integers(1, d.m), min_size=1)))
-    total = row_sum(d, rows)
+    total = d.sum_rows(rows)
     w = reference_column_sums(d, rows)
     if d.mode is not EXACT:
         assert [x.hex() for x in total[1:]] == [x.hex() for x in w]
         return
-    assert total[1:] == w
+    assert list(total[1:]) == w
     assert total[0] == sum(d.num[i][0] for i in rows)
     # phi is the rhs sum alone: minus column 0 of the row sum over L
-    assert d.value(row_sum(d, infeasible_rows(d))[0]) == -infeasibility_sum(d)
+    assert d.value(d.sum_rows(infeasible_rows(d))[0]) == -infeasibility_sum(d)
 
 
 def test_row_sum_of_no_rows_is_zero(walk_sp):
-    assert row_sum(initial_dictionary(walk_sp), ()) == [0, 0, 0]
+    assert initial_dictionary(walk_sp).sum_rows(()) == (0, 0, 0)
 
 
 def test_monitor_names_the_slack_that_joins_l():

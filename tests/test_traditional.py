@@ -17,6 +17,7 @@ from afsimplex.dictionary import (
 )
 from afsimplex.model import Constraint, GeneralProblem, Relation, Sense, StandardProblem
 from afsimplex.numeric import EXACT, ExactMode, FloatMode, Value
+from afsimplex.packed import PackedDictionary
 from afsimplex.traditional import (
     AuxiliaryDictionary,
     artificial_rows,
@@ -25,7 +26,7 @@ from afsimplex.traditional import (
 )
 from afsimplex.trace import SolveConfig, Status, TieBreak
 
-from conftest import fractions_built_during, problem_from
+from conftest import fractions_built_during, ladder_text, problem_from
 from test_dictionary import reference_pivot
 
 
@@ -166,6 +167,33 @@ def test_trick_fires_and_matches_the_full_pivot():
             aux = aux.pivot(decision.leaving_row, decision.entering_column)
     assert fired
     assert decision.status is Status.FEASIBLE
+
+
+def test_trick_on_packed_rows_decodes_no_full_grid():
+    # Exact ladders of 21 x 21 cells and up are packed.  The shortcut fires
+    # once across these, and it reads columns only: neither dictionary
+    # decodes its whole grid (`_num`), and both match the full pivot.
+    fired = 0
+    for n in (20, 30):
+        for shape in af.Shape:
+            aux = build_auxiliary(problem_from(ladder_text(n, shape)))
+            while True:
+                decision = traditional_step(aux, use_trick=True)
+                if decision.status is not None:
+                    break
+                r, m = decision.leaving_row, decision.entering_column
+                if not decision.via_conjugate:
+                    aux = aux.pivot(r, m)
+                    continue
+                fired += 1
+                quick = aux.conjugate_pivot(r, m)
+                assert isinstance(aux.inner, PackedDictionary)
+                assert aux.inner._num is None and quick.inner._num is None
+                full = aux.pivot(r, m)
+                assert quick.inner == full.inner
+                assert quick.aux_num == full.aux_num
+                aux = quick
+    assert fired == 1
 
 
 def test_trick_on_off_same_verdict():
