@@ -20,6 +20,11 @@ Because den is positive, sign tests and comparisons within one dictionary
 read the numerators directly; `entries`, `entry`, `rhs`,
 `objective_value` and `corner` build the values.
 
+Rows past m, which no basis label names, ride along: a pivot or dropped
+column updates them like the others (the traditional method keeps its
+auxiliary objective there), the negative transpose takes none of them
+and `stripped` drops them.
+
 Steps read the numerators through three methods: `column(j)` (column 0
 and the last other column read are kept per dictionary), `row(i)` and
 `sum_rows(rows)`.  How a row is stored is known only here and in
@@ -27,7 +32,8 @@ and the last other column read are kept per dictionary), `row(i)` and
 an exact grid of at least PACK_CELLS cells is a `packed.PackedDictionary`,
 whose row i is the one int sum_j N_ij * 2**(k*j), so that a pivot updates
 a row with one big-int multiply, subtract and divide instead of a loop
-over its entries (see that class and the README's "Packed rows").
+over its entries (see that class and the README's "Packed rows").  `_grid`
+chooses the format when a grid is built; a pivot or dropped column keeps it.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 from enum import IntEnum
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .model import StandardProblem, numerators
 from .numeric import EXACT, ExactMode, NumericMode, Value
@@ -133,18 +139,9 @@ class Dictionary:
     def from_numerators(cls, basis, nonbasis, num, den, mode: NumericMode) -> "Dictionary":
         """The dictionary whose entries are num[i][j] / den, den being its
         D0 (1 in float mode), as the constructor would build it from those
-        values; the shape is the caller's to keep.  An exact grid of at
-        least PACK_CELLS cells comes back as a `packed.PackedDictionary`."""
-        scaled = frozenset(basis)
-        if isinstance(mode, ExactMode) and len(num) * len(num[0]) >= PACK_CELLS:
-            # Imported here, so that a run that never packs never compiles it.
-            from .packed import PackedDictionary
-
-            return PackedDictionary._packing(basis, nonbasis, num, den, mode, den, scaled)
-        d = object.__new__(Dictionary)
-        d._set(basis, nonbasis, den, mode, den, scaled)
-        d.num = num
-        return d
+        values; the shape is the caller's to keep, and rows past m ride
+        along."""
+        return _grid(basis, nonbasis, num, den, mode, den, frozenset(basis))
 
     def _set(self, basis, nonbasis, den, mode, d0, scaled) -> None:
         """Every field but the numerators."""
@@ -159,12 +156,10 @@ class Dictionary:
         self._scaled = scaled
         self._rhs = self._col = None
 
-    def _derive(self, basis, nonbasis, num, den, scaled=None) -> "Dictionary":
-        """A dictionary reached from this one; label scales carry over
-        unless `scaled` replaces the set of labels scaled by D0."""
+    def _derive(self, basis, nonbasis, num, den) -> "Dictionary":
+        """A pivot's or dropped column's result: tuple rows, label scales kept."""
         d = object.__new__(Dictionary)
-        d._set(basis, nonbasis, den, self.mode, self._d0,
-               self._scaled if scaled is None else scaled)
+        d._set(basis, nonbasis, den, self.mode, self._d0, self._scaled)
         d.num = num
         return d
 
@@ -203,8 +198,8 @@ class Dictionary:
         return self.num[i]
 
     def column(self, j: int) -> tuple:
-        """Numerators of column j, rows 0..m; column 0 and the last other
-        column read are kept."""
+        """Numerators of column j, every row (rows past m too); column 0
+        and the last other column read are kept."""
         if j == 0:
             if self._rhs is None:
                 self._rhs = self._column(0)
@@ -265,65 +260,49 @@ class Dictionary:
         return ZeroPivot(f"entry ({r}, {m}) = {self.entry(r, m)!r} classifies as zero")
 
     def _pivoted(self, r: int, m: int, basis, nonbasis) -> "Dictionary":
-        if self.mode.sign(self.num[r][m]) == 0:
-            raise self._zero_pivot(r, m)
-        den, pivot_row, update = self._rule(r, m)
-        num = tuple(
-            pivot_row if i == r else update(row) for i, row in enumerate(self.num)
-        )
-        return self._derive(basis, nonbasis, num, den)
-
-    def carry(self, row: tuple, r: int, m: int) -> tuple:
-        """An extra row over this dictionary's den (an objective row that
-        rides along) as it reads after the pivot on (r, m)."""
-        return self._rule(r, m)[2](row)
-
-    def _rule(self, r: int, m: int) -> tuple[int, tuple, Callable[[tuple], tuple]]:
-        """(new den, new pivot row, update of any other row) for (r, m)."""
-        prow = self.row(r)
+        prow = self.num[r]
         p = prow[m]
-        if not self._exact:
-
-            def update(row: tuple) -> tuple:
+        if self.mode.sign(p) == 0:
+            raise self._zero_pivot(r, m)
+        num = []
+        if self._exact:
+            # With sigma = sn / sd:  N'_ij = (N_ij * p - N_im * N_rj) * sigma / D,
+            # N'_rj = sigma * N_rj, N'_im = -sigma * N_im, N'_rm = sigma * D and
+            # D' = sigma * p.
+            sn, sd, ps, dv = self._factors(r, m, p)
+            for i, row in enumerate(self.num):
+                if i == r:
+                    new = [y * sn // sd for y in prow]
+                    new[m] = self.den * sn // sd
+                else:
+                    asn = row[m] * sn
+                    new = [(x * ps - asn * y) // dv for x, y in zip(row, prow)]
+                    new[m] = -asn // sd
+                num.append(tuple(new))
+            return self._derive(basis, nonbasis, tuple(num), ps // sd)
+        for i, row in enumerate(self.num):
+            if i == r:
+                new = [y / p for y in prow]
+                new[m] = 1 / p
+            else:
                 f = row[m] / p
                 new = [x - f * y for x, y in zip(row, prow)]
                 new[m] = -f
-                return tuple(new)
+            num.append(tuple(new))
+        return self._derive(basis, nonbasis, tuple(num), 1)
 
-            pivot_row = [y / p for y in prow]
-            pivot_row[m] = 1 / p
-            return 1, tuple(pivot_row), update
-
-        # With sigma = sn / sd:  N'_ij = (N_ij * p - N_im * N_rj) * sigma / D,
-        # N'_rj = sigma * N_rj, N'_im = -sigma * N_im, N'_rm = sigma * D and
-        # D' = sigma * p.  A negative p flips the sign of sigma, so that D'
-        # stays positive; that negates every row, which leaves the values.
-        den = self.den
-        sn, sd = self._sigma(r, m)
+    def _factors(self, r: int, m: int, p: int) -> tuple[int, int, int, int]:
+        """(sn, sd, p * sn, den * sd) for the exact pivot on (r, m) of
+        numerator p, with sigma = sn / sd = scale(leaving) / scale(entering).
+        A negative p flips the sign of sigma, so that D' stays positive;
+        that negates every row, which leaves the values."""
+        sn, sd, d0 = 1, 1, self._d0
+        leaving = self.basis[r - 1] in self._scaled
+        if leaving is not (self.nonbasis[m - 1] in self._scaled):
+            sn, sd = (d0, 1) if leaving else (1, d0)
         if p < 0:
             sn = -sn
-        ps, dv = p * sn, den * sd
-
-        def update(row: tuple) -> tuple:
-            asn = row[m] * sn
-            new = [(x * ps - asn * y) // dv for x, y in zip(row, prow)]
-            new[m] = -asn // sd
-            return tuple(new)
-
-        pivot_row = [y * sn // sd for y in prow]
-        pivot_row[m] = den * sn // sd
-        return ps // sd, tuple(pivot_row), update
-
-    def _sigma(self, r: int, m: int) -> tuple[int, int]:
-        """scale(leaving) / scale(entering) as a (numerator, denominator) pair."""
-        d0 = self._d0
-        if d0 == 1:
-            return 1, 1
-        leaving = self.basis[r - 1] in self._scaled
-        entering = self.nonbasis[m - 1] in self._scaled
-        if leaving is entering:
-            return 1, 1
-        return (d0, 1) if leaving else (1, d0)
+        return sn, sd, p * sn, self.den * sd
 
     def drop_column(self, m: int) -> "Dictionary":
         """Remove nonbasis position m (used to retire artificial columns)."""
@@ -331,18 +310,27 @@ class Dictionary:
         num = tuple(row[:m] + row[m + 1 :] for row in self.num)
         return self._derive(self.basis, nonbasis, num, self.den)
 
-    def corner(self) -> tuple[Value, ...]:
-        """Structural-variable values at the current basic solution; the
-        structural labels are x1..xp."""
+    def structural_column(self, j: int, value) -> list:
+        """Column j at the basic structural variables, each numerator read
+        through `value`, as a list by structural index (the structural
+        labels are x1..xp) with zeros at the nonbasic ones."""
         kind = LabelKind.STRUCTURAL
         values = [self.mode.zero] * sum(
             [label.kind is kind for label in self.basis + self.nonbasis]
         )
-        value = self.value
-        for label, x in zip(self.basis, self.column(0)[1:]):
+        for label, x in zip(self.basis, self.column(j)[1:]):
             if label.kind is kind:
                 values[label.index - 1] = value(x)
-        return tuple(values)
+        return values
+
+    def corner(self) -> tuple[Value, ...]:
+        """Structural-variable values at the current basic solution."""
+        return tuple(self.structural_column(0, self.value))
+
+    def stripped(self) -> "Dictionary":
+        """This dictionary without its rows past m."""
+        num = self.num[: self.m + 1]
+        return _grid(self.basis, self.nonbasis, num, self.den, self.mode, self._d0, self._scaled)
 
     def negative_transpose(self) -> "Dictionary":
         """The dual dictionary D*: d*_ji = -d_ij with border rows swapped.
@@ -351,13 +339,29 @@ class Dictionary:
         columns by its basis labels; primal and dual feasibility trade
         places, and the map is an involution.  D* keeps den and D0, and
         its scaled labels are the ones unscaled here, so every pivot on D*
-        has the sigma of its mirror pivot here.
+        has the sigma of its mirror pivot here.  It takes no row past m.
         """
-        cols = list(zip(*self.num))
+        cols = list(zip(*self.num[: self.m + 1]))
         num = [(-cols[0][0],) + cols[0][1:]]
         num += [(col[0],) + tuple([-x for x in col[1:]]) for col in cols[1:]]
         scaled = frozenset(self.basis + self.nonbasis) - self._scaled
-        return self._derive(self.nonbasis, self.basis, tuple(num), self.den, scaled)
+        return _grid(self.nonbasis, self.basis, tuple(num), self.den, self.mode, self._d0,
+                     scaled)
+
+
+def _grid(basis, nonbasis, num, den, mode, d0, scaled) -> Dictionary:
+    """A new grid of numerators over den, in the row format it gets: an
+    exact grid of at least PACK_CELLS cells, rows past m counted, is a
+    `packed.PackedDictionary`, any other a tuple-row Dictionary."""
+    if isinstance(mode, ExactMode) and len(num) * len(num[0]) >= PACK_CELLS:
+        # Imported here, so that a run that never packs never compiles it.
+        from .packed import PackedDictionary
+
+        return PackedDictionary._packing(basis, nonbasis, num, den, mode, d0, scaled)
+    d = object.__new__(Dictionary)
+    d._set(basis, nonbasis, den, mode, d0, scaled)
+    d.num = num
+    return d
 
 
 def initial_dictionary(sp: StandardProblem) -> Dictionary:

@@ -1,7 +1,7 @@
 """Exact dictionaries whose rows are held as one int each.
 
-`Dictionary.from_numerators` builds a PackedDictionary for an exact grid
-of at least `dictionary.PACK_CELLS` cells.  Only this module and
+`dictionary._grid` builds a PackedDictionary for an exact grid of at
+least `dictionary.PACK_CELLS` cells.  Only this module and
 `dictionary` know the layout: callers read a PackedDictionary through
 `column`, `row` and `sum_rows` as they read any Dictionary.  The README's
 "Packed rows" gives the layout and the proof of the width.
@@ -40,8 +40,8 @@ class PackedDictionary(Dictionary):
     keeps the headroom of `_slot_width` over it: a sign bit, bits(m + 1)
     so that a sum of rows still decodes, and GROW bits to grow into.
     `column`, `row` and `sum_rows` decode only what they return; `num`
-    decodes the whole grid once, for the negative transpose, `entries` and
-    tests.
+    decodes the whole grid once, for the negative transpose, `stripped`,
+    `entries` and tests.
     """
 
     __slots__ = ("rows", "_width", "_bias", "_bound", "_num")
@@ -65,13 +65,6 @@ class PackedDictionary(Dictionary):
         d._bound = bound
         d._num = None
         return d
-
-    def _derive(self, basis, nonbasis, num, den, scaled=None) -> "PackedDictionary":
-        """The negative transpose's grid, packed afresh."""
-        return PackedDictionary._packing(
-            basis, nonbasis, num, den, self.mode, self._d0,
-            self._scaled if scaled is None else scaled,
-        )
 
     def _decode(self, row: int) -> tuple[int, ...]:
         half = 1 << (self._width - 1)
@@ -121,10 +114,7 @@ class PackedDictionary(Dictionary):
         if p == 0:
             raise self._zero_pivot(r, m)
         den = self.den
-        sn, sd = self._sigma(r, m)
-        if p < 0:
-            sn = -sn
-        ps, dv = p * sn, den * sd
+        sn, sd, ps, dv = self._factors(r, m, p)
         # With every |N| and D at most 2**t and A = max_i |N_im|, each new
         # N_ij is (N_ij p - N_im N_rj) sigma / D, of magnitude at most
         # 2**t (|p| + A) |sigma| / D <= 2**(t + bits(|p| + A) + 1 - bits(D)) |sigma|;

@@ -31,12 +31,15 @@ def infeasible_rows(d: Dictionary) -> frozenset[int]:
 
 
 def infeasibility_sum(d: Dictionary) -> Value:
-    """Total constraint violation: sum of -rhs over infeasible rows."""
+    """Total constraint violation: sum of -rhs over infeasible rows, added
+    one by one (the float `sum` of Python 3.12 on is compensated)."""
     rows = infeasible_rows(d)
     if not rows:
         return d.mode.zero
-    rhs = d.column(0)
-    return d.value(-sum([rhs[i] for i in rows]))
+    rhs, total = d.column(0), 0
+    for i in rows:
+        total += rhs[i]
+    return d.value(-total)
 
 
 def phase1_objective_vector(d: Dictionary, rows: frozenset[int]) -> tuple[Value, ...]:

@@ -42,14 +42,10 @@ def improving_ray(d: Dictionary, column: int) -> tuple[Value, ...]:
     variable by -d_i,column * t; projecting onto structural labels gives
     a ray that satisfies every original row with slack to spare.
     """
-    kind = LabelKind.STRUCTURAL
-    ray = [d.mode.zero] * sum([label.kind is kind for label in d.basis + d.nonbasis])
+    ray = d.structural_column(column, lambda x: -d.value(x))
     target = d.column_label(column)
-    if target.kind is kind:
+    if target.kind is LabelKind.STRUCTURAL:
         ray[target.index - 1] = d.mode.coerce(1)
-    for label, x in zip(d.basis, d.column(column)[1:]):
-        if label.kind is kind:
-            ray[label.index - 1] = -d.value(x)
     return tuple(ray)
 
 

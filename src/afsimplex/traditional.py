@@ -36,18 +36,21 @@ def artificial_rows(d: Dictionary) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AuxiliaryDictionary:
-    """A dictionary plus the auxiliary objective row.
+    """A dictionary whose grid carries the auxiliary objective row.
 
-    `inner` carries the original objective in its row 0 the whole time;
-    `aux_num` holds the numerators, over `inner.den`, of the auxiliary
-    row stored in the same convention (entry 0 is the current value,
-    which equals minus the total of the basic artificial values).  The
-    row rides along through every pivot by the same rule as the rows of
-    `inner`.
+    `inner` carries the original objective in its row 0 the whole time
+    and the auxiliary row, in the same convention, as its row m + 1
+    (entry 0 is the current value, which equals minus the total of the
+    basic artificial values).  The row rides along through every pivot
+    and dropped column by the rule that updates the other rows.
     """
 
     inner: Dictionary
-    aux_num: tuple
+
+    @property
+    def aux_num(self) -> tuple:
+        """Numerators of the auxiliary row, over `inner.den`."""
+        return self.inner.row(self.inner.m + 1)
 
     def infeasibility(self) -> Value:
         """Total value of the basic artificials (= minus the row's value)."""
@@ -66,11 +69,9 @@ class AuxiliaryDictionary:
         """Pivot both objective rows; retire the column of a leaving artificial."""
         leaving = self.inner.row_label(r)
         inner = self.inner.pivot(r, m)
-        aux = self.inner.carry(self.aux_num, r, m)
         if leaving.kind is LabelKind.ARTIFICIAL:
             inner = inner.drop_column(m)
-            aux = aux[:m] + aux[m + 1 :]
-        return AuxiliaryDictionary(inner, aux)
+        return AuxiliaryDictionary(inner)
 
     def conjugate_pivot(self, r: int, m: int) -> "AuxiliaryDictionary":
         """The shortcut pivot for a zero-valued basic artificial.
@@ -102,8 +103,8 @@ def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
     basic artificial (value -b_i > 0) and contribute their slack as a
     nonbasic column.  The numerators are those of `initial_dictionary`,
     over the same D0, with the rows of b_i < 0 negated and one column of
-    -1 (numerator -D0) per artificial.  The auxiliary row expresses minus
-    the artificial total over the nonbasic columns.
+    -1 (numerator -D0) per artificial.  Row m + 1, the auxiliary row, is
+    minus the artificial rows' sum, added up as `Dictionary.sum_rows` does.
     """
     mode = sp.mode
     num, den = sp.grid
@@ -121,10 +122,12 @@ def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
     columns = tuple(structural(j) for j in range(1, sp.p + 1)) + tuple(
         slack(i) for i in negative
     )
+    total = [0] * len(rows[0])
+    for i in negative:
+        total = [x + y for x, y in zip(total, rows[i])]
+    rows.append(tuple(-x for x in total))
     inner = Dictionary.from_numerators(tuple(basis), columns, tuple(rows), den, mode)
-    # The auxiliary row is minus the sum of the artificial rows.
-    aux = tuple(-x for x in inner.sum_rows(artificial_rows(inner)))
-    return AuxiliaryDictionary(inner, aux)
+    return AuxiliaryDictionary(inner)
 
 
 def traditional_step(
@@ -185,7 +188,8 @@ def run_traditional_phase1(
     On FEASIBLE the returned dictionary is the plain dictionary over
     structural and slack labels with the original objective row intact;
     on INFEASIBLE it is the terminal auxiliary interior (artificials
-    still basic, their total being the minimal violation).
+    still basic, their total being the minimal violation).  Either way
+    the auxiliary row is stripped off.
     """
     cfg = config or SolveConfig()
     aux, status, trace = drive(
@@ -199,4 +203,4 @@ def run_traditional_phase1(
         )(decision.leaving_row, decision.entering_column),
         view=lambda aux: aux.inner,
     )
-    return aux.inner, status, trace
+    return aux.inner.stripped(), status, trace

@@ -21,6 +21,8 @@ from afsimplex.dictionary import (
 )
 from afsimplex.packed import PackedDictionary
 
+from conftest import problem_from
+
 
 def reference_pivot(entries, r, m):
     """The textbook dictionary pivot on Fractions, entry by entry:
@@ -227,10 +229,12 @@ def test_rational_pivot_walk_matches_the_fraction_formula(d, data):
     # Each step either pivots back on the previous spot (a scaled label
     # enters where an unscaled one leaves, sigma = 1/D0) or on a fresh
     # nonzero spot; the first step from the built basis has sigma = D0
-    # whenever D0 > 1.  A row summed from the starting rows rides along.
+    # whenever D0 > 1.  A row summed from the starting rows rides along as
+    # grid row m + 1.
     chosen = data.draw(st.sets(st.integers(0, d.m), min_size=1))
     extra = tuple(sum(col) for col in zip(*(d.num[i] for i in sorted(chosen))))
     reference = d.entries + (tuple(sum(col) for col in zip(*(d.entries[i] for i in sorted(chosen)))),)
+    d = Dictionary.from_numerators(d.basis, d.nonbasis, d.num + (extra,), d.den, d.mode)
     last = None
     for _ in range(data.draw(st.integers(1, 6))):
         spots = [
@@ -245,12 +249,11 @@ def test_rational_pivot_walk_matches_the_fraction_formula(d, data):
             r, m = last
         else:
             r, m = data.draw(st.sampled_from(spots))
-        extra = d.carry(extra, r, m)
         d = d.pivot(r, m)
         reference = reference_pivot(reference, r, m)
         _assert_well_formed(d)
-        assert d.entries == reference[:-1]
-        assert tuple(map(d.value, extra)) == reference[-1]
+        assert d.entries[:-1] == reference[:-1]
+        assert tuple(map(d.value, d.row(d.m + 1))) == reference[-1]
         last = (r, m)
 
 
@@ -358,17 +361,28 @@ def test_label_keeps_the_dataclass_order_hash_equality_and_names():
     assert slack(3) == (LabelKind.SLACK, 3) == (1, 3)
 
 
+def _unpacked(monkeypatch, build, *args):
+    """`build(*args)` with packing off, so that any grid it builds has
+    tuple rows."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dictionary, "PACK_CELLS", float("inf"))
+        return build(*args)
+
+
 def _twins(entries, monkeypatch):
     """The same grid as a PackedDictionary and as a tuple-row Dictionary."""
     m, n = len(entries) - 1, len(entries[0]) - 1
     basis = tuple(slack(i + 1) for i in range(m))
     nonbasis = tuple(structural(j + 1) for j in range(n))
     packed = Dictionary(basis, nonbasis, entries)
-    with monkeypatch.context() as patch:
-        patch.setattr(dictionary, "PACK_CELLS", float("inf"))
-        plain = Dictionary(basis, nonbasis, entries)
+    plain = _unpacked(monkeypatch, Dictionary, basis, nonbasis, entries)
     assert type(packed) is PackedDictionary and type(plain) is Dictionary
     return packed, plain
+
+
+def _with_row(d, row):
+    """`d` with `row` appended past row m; den, D0 and label scales kept."""
+    return dictionary._grid(d.basis, d.nonbasis, d.num + (row,), d.den, d.mode, d._d0, d._scaled)
 
 
 def _assert_same_numerators(packed, plain, rng):
@@ -380,7 +394,7 @@ def _assert_same_numerators(packed, plain, rng):
     # from the dictionary it was pivoted, dropped or transposed from.
     for j in (*rng.sample(range(packed.n + 1), packed.n + 1), 0):
         assert packed.column(j) == plain.column(j) == tuple(row[j] for row in plain.num)
-    for i in range(packed.m + 1):
+    for i in range(len(plain.num)):  # rows past m too
         assert packed.row(i) == plain.row(i) == plain.num[i]
         assert packed.rhs(i) == plain.rhs(i)
         j = rng.randint(0, packed.n)
@@ -404,7 +418,9 @@ def test_packed_rows_match_tuple_rows_through_a_pivot_walk(seed, monkeypatch):
     # 17 x 17 grids, integer on even seeds and rational (D0 > 1) on odd
     # ones; pivots anywhere nonzero, negative ones included, and straight
     # back (sigma = 1/D0), with columns dropped and the dictionary
-    # transposed on the way.  Entries grow until the slots are widened.
+    # transposed on the way.  Entries grow until the slots are widened.  Row
+    # 0 as it was at the start or at the last transpose rides along as grid
+    # row m + 1.
     rng = random.Random(seed)
     dens = (1,) if seed % 2 == 0 else (1, 2, 3, 5, 7)
     entries = tuple(
@@ -413,20 +429,23 @@ def test_packed_rows_match_tuple_rows_through_a_pivot_walk(seed, monkeypatch):
     packed, plain = _twins(entries, monkeypatch)
     if seed % 2:
         assert packed.den > 1
+    packed, plain = _with_row(packed, plain.num[0]), _with_row(plain, plain.num[0])
     start_width = packed._width
-    extra = plain.num[0]
     last = None
     for step in range(40):
         _assert_same_numerators(packed, plain, rng)
         if step % 13 == 12 and plain.n > 2:
             j = rng.randint(1, plain.n)
             packed, plain = packed.drop_column(j), plain.drop_column(j)
-            extra, last = extra[:j] + extra[j + 1 :], None
+            last = None
             continue
         if step % 17 == 16:
-            packed, plain = packed.negative_transpose(), plain.negative_transpose()
+            packed = packed.negative_transpose()
+            plain = _unpacked(monkeypatch, plain.negative_transpose)
             assert type(packed) is PackedDictionary and type(plain) is Dictionary
-            extra, last = plain.num[0], None
+            row = plain.num[0]
+            packed, plain = _with_row(packed, row), _unpacked(monkeypatch, _with_row, plain, row)
+            last = None
             continue
         spots = [
             (i, j)
@@ -435,9 +454,8 @@ def test_packed_rows_match_tuple_rows_through_a_pivot_walk(seed, monkeypatch):
             if plain.num[i][j] != 0
         ]
         r, m = last if last is not None and rng.random() < 0.2 else rng.choice(spots)
-        assert packed.carry(extra, r, m) == plain.carry(extra, r, m)
-        extra = plain.carry(extra, r, m)
         packed, plain = packed.pivot(r, m), plain.pivot(r, m)
+        assert packed.row(plain.m + 1) == plain.row(plain.m + 1)
         last = (r, m)
     _assert_same_numerators(packed, plain, rng)
     assert packed._width > start_width
@@ -468,3 +486,34 @@ def test_only_large_exact_grids_are_packed():
     assert type(grid(15)) is Dictionary
     assert type(grid(16)) is PackedDictionary
     assert type(grid(16, af.FloatMode(1e-9))) is Dictionary
+
+    def assert_format(d):
+        # Cells counted over every row of the grid, rows past m included.
+        cells = len(d.column(0)) * len(d.row(0))
+        assert isinstance(d, PackedDictionary) is (cells >= dictionary.PACK_CELLS)
+        return cells
+
+    # The transpose takes no row past m: 15 x 16 + a riding row is 256
+    # cells, and its transpose 16 x 15 is not packed; 16 x 16 + a row is.
+    for rows, cols, transposed in ((15, 16, 240), (16, 16, 256), (15, 17, 255)):
+        d = Dictionary.from_numerators(
+            tuple(slack(i + 1) for i in range(rows - 1)),
+            tuple(structural(j + 1) for j in range(cols - 1)),
+            ((1,) * cols,) * (rows + 1), 1, af.EXACT,
+        )
+        assert assert_format(d) == (rows + 1) * cols
+        assert assert_format(d.negative_transpose()) == transposed
+        assert assert_format(d.stripped()) == rows * cols
+    # The auxiliary grid (m + 2) x (p + k + 1) and the (m + 1) x (p + 1)
+    # dictionary phase 1 returns once the k artificial columns are retired.
+    for m, p, aux_cells, done_cells in (
+        (14, 14, 256, 225), (13, 15, 255, 224), (15, 15, 289, 256), (14, 16, 288, 255),
+    ):
+        text = f"max: {' + '.join(f'x{j}' for j in range(1, p + 1))};\n"
+        text += f"c0: {' + '.join(f'x{j}' for j in range(1, p + 1))} >= 1;\n"
+        text += "".join(f"c{i}: x{i} <= 5;\n" for i in range(1, m))
+        aux = af.build_auxiliary(problem_from(text))
+        assert assert_format(aux.inner) == aux_cells
+        d, status, _ = af.run_traditional_phase1(aux)
+        assert status is af.Status.FEASIBLE
+        assert assert_format(d) == done_cells

@@ -442,6 +442,18 @@ def test_row_sum_of_no_rows_is_zero(walk_sp):
     assert initial_dictionary(walk_sp).sum_rows(()) == (0, 0, 0)
 
 
+def test_float_infeasibility_sum_adds_left_to_right():
+    # Added one by one, -1e16 - 1 - 1 rounds back to -1e16 twice; the
+    # compensated float `sum` of Python 3.12 and later gives -1e16 - 2.
+    d = Dictionary(
+        (slack(1), slack(2), slack(3)),
+        (structural(1),),
+        ((0.0, 1.0), (-1e16, -1.0), (-1.0, -1.0), (-1.0, -1.0)),
+        FloatMode(1e-9),
+    )
+    assert infeasibility_sum(d) == 1e16 == -(0 + -1e16 + -1.0 + -1.0)
+
+
 def test_monitor_names_the_slack_that_joins_l():
     # w1 = 1 - x1 and w2 = 4 - x1: x1 may rise to 1, and pivoting on w2
     # instead (ratio 4) leaves w1 = -3 + w2

@@ -27,6 +27,7 @@ from afsimplex.traditional import (
 from afsimplex.trace import SolveConfig, Status, TieBreak
 
 from conftest import fractions_built_during, ladder_text, problem_from
+from test_acceptance import _sweep_instances
 from test_dictionary import reference_pivot
 
 
@@ -94,10 +95,16 @@ def test_walk_golden_trace(walk_sp):
     assert trace.records[-1].infeasibility_after == F(0)
 
 
+def _assert_row_is_minus_the_artificial_sum(aux: AuxiliaryDictionary) -> None:
+    d = aux.inner
+    assert d.row(d.m + 1) == tuple(-x for x in d.sum_rows(artificial_rows(d)))
+
+
 def test_phase1_row_recomputes_after_every_pivot(walk_sp):
     aux = build_auxiliary(walk_sp)
     while True:
         assert tuple(map(aux.inner.value, aux.aux_num)) == recomputed_phase1_row(aux)
+        _assert_row_is_minus_the_artificial_sum(aux)
         decision = traditional_step(
             aux, use_trick=False, tie_break=TieBreak.SMALLEST_LABEL
         )
@@ -105,6 +112,29 @@ def test_phase1_row_recomputes_after_every_pivot(walk_sp):
             break
         aux = aux.pivot(decision.leaving_row, decision.entering_column)
     assert decision.status is Status.FEASIBLE
+    # Exact mode, with and without the shortcut: row m + 1, updated by the
+    # rule that updates every row, is minus the sum of the artificial rows
+    # at every state of the acceptance sweep's problems (tuple rows) and
+    # of the three 20 x 20 ladders (packed rows).
+    problems = [
+        af.standardize(af.generate_lp(seed=seed, rows=rows, cols=cols, shape=shape))
+        for seed, rows, cols, shape in _sweep_instances()
+    ]
+    ladders = [problem_from(ladder_text(20, shape)) for shape in af.Shape]
+    assert all(isinstance(build_auxiliary(sp).inner, PackedDictionary) for sp in ladders)
+    states = 0
+    for sp in problems + ladders:
+        for use_trick in (False, True):
+            aux = build_auxiliary(sp)
+            while True:
+                _assert_row_is_minus_the_artificial_sum(aux)
+                states += 1
+                decision = traditional_step(aux, use_trick=use_trick)
+                if decision.status is not None:
+                    break
+                r, m = decision.leaving_row, decision.entering_column
+                aux = aux.conjugate_pivot(r, m) if decision.via_conjugate else aux.pivot(r, m)
+    assert states > 2 * (len(problems) + len(ladders))
 
 
 def test_conjugate_slack_column_structure(walk_sp):
@@ -281,12 +311,17 @@ def reference_build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
         rows.append(tuple(row))
 
     inner = Dictionary(tuple(basis), tuple(columns), tuple(rows), mode)
-    # The auxiliary row is minus the sum of the artificial rows.
+    # The auxiliary row is minus the sum of the artificial rows; it rides
+    # in the grid past the basis rows.
     aux = [0 if isinstance(mode, ExactMode) else zero] * (n + 1)
     for i in negative:
         for j, x in enumerate(inner.num[i + 1]):
             aux[j] -= x
-    return AuxiliaryDictionary(inner, tuple(aux))
+    return AuxiliaryDictionary(
+        Dictionary.from_numerators(
+            inner.basis, inner.nonbasis, inner.num + (tuple(aux),), inner.den, mode
+        )
+    )
 
 
 RATIONALS = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
@@ -333,8 +368,9 @@ def test_build_auxiliary_matches_reference(sp):
     aux, ref = build_auxiliary(sp), reference_build_auxiliary(sp)
     assert aux.inner.basis == ref.inner.basis
     assert aux.inner.nonbasis == ref.inner.nonbasis
-    assert aux.inner.num == ref.inner.num
-    assert repr(aux.inner.num) == repr(ref.inner.num)  # signed zeros too
+    rows = sp.m + 1  # the basis rows; the auxiliary row follows
+    assert aux.inner.num[:rows] == ref.inner.num[:rows]
+    assert repr(aux.inner.num[:rows]) == repr(ref.inner.num[:rows])  # signed zeros too
     assert aux.inner.den == ref.inner.den
     # The reference subtracts from 0.0 and gets 0.0 where minus a sum of
     # zeros is -0.0, and its row is 0.0s where there is no artificial to
@@ -366,9 +402,10 @@ def test_starting_dictionaries_match_the_value_grid(sp, data):
     nonbasis = tuple(structural(j + 1) for j in range(sp.p))
     aux = build_auxiliary(sp)
     _assert_same_start(initial_dictionary(sp), Dictionary(basis, nonbasis, values, mode))
-    _assert_same_start(aux.inner, reference_build_auxiliary(sp).inner)
-    for d, extra in ((initial_dictionary(sp), None), (aux.inner, aux.aux_num)):
-        reference = d.entries + ((tuple(map(d.value, extra)),) if extra is not None else ())
+    # The auxiliary rows are equal values, not equal bits (see above).
+    _assert_same_start(aux.inner.stripped(), reference_build_auxiliary(sp).inner.stripped())
+    for d in (initial_dictionary(sp), aux.inner):
+        reference = d.entries
         for _ in range(data.draw(st.integers(0, 4))):
             spots = [
                 (i, j)
@@ -379,12 +416,10 @@ def test_starting_dictionaries_match_the_value_grid(sp, data):
             if not spots:
                 break
             r, m = data.draw(st.sampled_from(spots))
-            if extra is not None:
-                extra = d.carry(extra, r, m)
             d = d.pivot(r, m)
             reference = reference_pivot(reference, r, m)
             assert d.den > 0
-            got = d.entries + ((tuple(map(d.value, extra)),) if extra is not None else ())
+            got = d.entries
             assert got == reference
             assert repr(got) == repr(reference)
 
