@@ -33,7 +33,8 @@ an exact grid of at least PACK_CELLS cells is a `packed.PackedDictionary`,
 whose row i is the one int sum_j N_ij * 2**(k*j), so that a pivot updates
 a row with one big-int multiply, subtract and divide instead of a loop
 over its entries (see that class and the README's "Packed rows").  `_grid`
-chooses the format when a grid is built; a pivot or dropped column keeps it.
+chooses the format when a grid is built; a pivot or dropped column keeps
+it, and `_tuples` builds every tuple-row grid.
 """
 
 from __future__ import annotations
@@ -156,13 +157,6 @@ class Dictionary:
         self._scaled = scaled
         self._rhs = self._col = None
 
-    def _derive(self, basis, nonbasis, num, den) -> "Dictionary":
-        """A pivot's or dropped column's result: tuple rows, label scales kept."""
-        d = object.__new__(Dictionary)
-        d._set(basis, nonbasis, den, self.mode, self._d0, self._scaled)
-        d.num = num
-        return d
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dictionary):
             return NotImplemented
@@ -279,17 +273,19 @@ class Dictionary:
                     new = [(x * ps - asn * y) // dv for x, y in zip(row, prow)]
                     new[m] = -asn // sd
                 num.append(tuple(new))
-            return self._derive(basis, nonbasis, tuple(num), ps // sd)
-        for i, row in enumerate(self.num):
-            if i == r:
-                new = [y / p for y in prow]
-                new[m] = 1 / p
-            else:
-                f = row[m] / p
-                new = [x - f * y for x, y in zip(row, prow)]
-                new[m] = -f
-            num.append(tuple(new))
-        return self._derive(basis, nonbasis, tuple(num), 1)
+            den = ps // sd
+        else:
+            for i, row in enumerate(self.num):
+                if i == r:
+                    new = [y / p for y in prow]
+                    new[m] = 1 / p
+                else:
+                    f = row[m] / p
+                    new = [x - f * y for x, y in zip(row, prow)]
+                    new[m] = -f
+                num.append(tuple(new))
+            den = 1
+        return _tuples(basis, nonbasis, tuple(num), den, self.mode, self._d0, self._scaled)
 
     def _factors(self, r: int, m: int, p: int) -> tuple[int, int, int, int]:
         """(sn, sd, p * sn, den * sd) for the exact pivot on (r, m) of
@@ -308,7 +304,7 @@ class Dictionary:
         """Remove nonbasis position m (used to retire artificial columns)."""
         nonbasis = self.nonbasis[: m - 1] + self.nonbasis[m:]
         num = tuple(row[:m] + row[m + 1 :] for row in self.num)
-        return self._derive(self.basis, nonbasis, num, self.den)
+        return _tuples(self.basis, nonbasis, num, self.den, self.mode, self._d0, self._scaled)
 
     def structural_column(self, j: int, value) -> list:
         """Column j at the basic structural variables, each numerator read
@@ -358,6 +354,11 @@ def _grid(basis, nonbasis, num, den, mode, d0, scaled) -> Dictionary:
         from .packed import PackedDictionary
 
         return PackedDictionary._packing(basis, nonbasis, num, den, mode, d0, scaled)
+    return _tuples(basis, nonbasis, num, den, mode, d0, scaled)
+
+
+def _tuples(basis, nonbasis, num, den, mode, d0, scaled) -> Dictionary:
+    """A new tuple-row grid of numerators over den, whatever its size."""
     d = object.__new__(Dictionary)
     d._set(basis, nonbasis, den, mode, d0, scaled)
     d.num = num

@@ -5,7 +5,9 @@ negative transpose: negative objective-row entries play the role of
 infeasible rows, their rowwise sum prices the basis rows, and the pivot
 found there maps back with row and column swapped.  The pivot transform
 commutes with the negative transpose, so iterating this mirror step on D
-reproduces, position for position, the primal run on the transpose.
+reproduces, position for position, the primal run on the transpose.  The
+violation total is the mirror's too: the sum of -d_0j over the negative
+objective-row entries, read from the row sum that priced the step.
 """
 
 from __future__ import annotations
@@ -13,19 +15,13 @@ from __future__ import annotations
 from typing import Optional
 
 from .dictionary import Dictionary
-from .numeric import Value
-from .phase1 import infeasibility_sum, phase1_step
+from .phase1 import phase1_step
 from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
 _MIRRORED = {
     Status.FEASIBLE: Status.DUAL_FEASIBLE,
     Status.INFEASIBLE: Status.DUAL_INFEASIBLE,
 }
-
-
-def dual_infeasibility_sum(d: Dictionary) -> Value:
-    """Sum of -d_0j over the negative objective-row entries."""
-    return infeasibility_sum(d.negative_transpose())
 
 
 def dual_phase1_step(d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL) -> Decision:
@@ -40,6 +36,7 @@ def dual_phase1_step(d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABE
         leaving_row=mirror.entering_column,
         ratio=mirror.ratio,
         status=_MIRRORED.get(mirror.status),
+        infeasibility=mirror.infeasibility,
     )
 
 
@@ -53,6 +50,5 @@ def run_dual_phase1(
         "dual_phase1",
         d,
         lambda d: dual_phase1_step(d, cfg.tie_break),
-        dual_infeasibility_sum,
         cfg,
     )

@@ -31,15 +31,12 @@ def infeasible_rows(d: Dictionary) -> frozenset[int]:
 
 
 def infeasibility_sum(d: Dictionary) -> Value:
-    """Total constraint violation: sum of -rhs over infeasible rows, added
-    one by one (the float `sum` of Python 3.12 on is compensated)."""
+    """Total constraint violation phi = -W_0: minus column 0 of the row sum
+    over the infeasible rows, which adds them one by one."""
     rows = infeasible_rows(d)
     if not rows:
         return d.mode.zero
-    rhs, total = d.column(0), 0
-    for i in rows:
-        total += rhs[i]
-    return d.value(-total)
+    return d.value(-d.sum_rows(rows)[0])
 
 
 def phase1_objective_vector(d: Dictionary, rows: frozenset[int]) -> tuple[Value, ...]:
@@ -140,18 +137,21 @@ def break_tie(d: Dictionary, m: int, current: int, challenger: int, rule: TieBre
 
 
 def phase1_step(d: Dictionary, tie_break: TieBreak = TieBreak.SMALLEST_LABEL) -> Decision:
-    """One pricing-and-ratio decision, priced by W; performs no pivot itself."""
+    """One pricing-and-ratio decision, priced by W; performs no pivot itself.
+    It carries phi = -W_0, read from column 0 of the same row sum."""
     rows = infeasible_rows(d)
     if not rows:
-        return Decision(None, None, None, Status.FEASIBLE)
-    m = select_entering(d.sum_rows(rows)[1:], d.nonbasis, d.mode)
+        return Decision(None, None, None, Status.FEASIBLE, d.mode.zero)
+    total = d.sum_rows(rows)
+    phi = d.value(-total[0])
+    m = select_entering(total[1:], d.nonbasis, d.mode)
     if m is None:
         # W >= 0 over rows that must all rise: no entering column can help.
-        return Decision(None, None, None, Status.INFEASIBLE)
+        return Decision(None, None, None, Status.INFEASIBLE, phi)
     r, ratio = select_leaving(d, m, tie_break)
     if r is None:
         raise NoEligibleRow(f"no eligible row in column {m}")
-    return Decision(m, r, ratio, None)
+    return Decision(m, r, ratio, None, phi)
 
 
 class InvariantMonitor:
@@ -234,7 +234,6 @@ def run_phase1(
         "af_phase1",
         d,
         lambda d: phase1_step(d, cfg.tie_break),
-        infeasibility_sum,
         cfg,
         observe=None if monitor is None else monitor.observe,
     )

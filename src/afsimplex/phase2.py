@@ -20,18 +20,19 @@ def phase2_step(
     """One Dantzig decision: most negative objective entry enters (ties to
     the smallest label); the classical minimum ratio over positive column
     entries leaves.  A negative column with no positive entry means the
-    objective is unbounded along it."""
+    objective is unbounded along it.  The dictionary is primal feasible,
+    so every decision carries a violation total of zero."""
     rows = infeasible_rows(d)
     if rows:
         i = min(rows)
         raise NotPrimalFeasible(f"row {i} has rhs {d.rhs(i)!r}")
     entering = select_entering(d.row(0)[1:], d.nonbasis, d.mode)
     if entering is None:
-        return Decision(None, None, None, Status.OPTIMAL)
+        return Decision(None, None, None, Status.OPTIMAL, d.mode.zero)
     best_row, best_ratio = select_leaving(d, entering, tie_break)
     if best_row is None:
-        return Decision(entering, None, None, Status.UNBOUNDED)
-    return Decision(entering, best_row, best_ratio, None)
+        return Decision(entering, None, None, Status.UNBOUNDED, d.mode.zero)
+    return Decision(entering, best_row, best_ratio, None, d.mode.zero)
 
 
 def improving_ray(d: Dictionary, column: int) -> tuple[Value, ...]:
@@ -59,6 +60,5 @@ def run_phase2(
         "phase2",
         d,
         lambda d: phase2_step(d, cfg.tie_break),
-        lambda d: d.mode.zero,
         cfg,
     )

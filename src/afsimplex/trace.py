@@ -85,12 +85,15 @@ class Decision:
     """What a step decided.  `status` is None exactly when the pivot on
     (leaving_row, entering_column) with step length `ratio` is due; any
     other status ends the run, and an UNBOUNDED stop keeps its entering
-    column for the ray."""
+    column for the ray.  `infeasibility` is the violation total of the
+    state the step priced, read from the row it priced with (zero in
+    phase 2)."""
 
     entering_column: Optional[int]
     leaving_row: Optional[int]
     ratio: Optional[Value]
     status: Optional[Status]
+    infeasibility: Value
     via_conjugate: bool = False
 
 
@@ -103,7 +106,6 @@ def drive(
     method: str,
     state,
     step: Callable,
-    measure: Callable,
     config: SolveConfig,
     pivot: Callable = pivot_on,
     observe: Optional[Callable] = None,
@@ -112,8 +114,10 @@ def drive(
     """The one pivot loop: pivot from `state` until a stop, recording a trace.
 
     `step(state)` returns a Decision; one with a status ends the run with
-    it, any other is performed by `pivot(state, decision)`.
-    `measure(state)` is the violation total, `observe(before, decision,
+    it, any other is performed by `pivot(state, decision)`.  The trace's
+    violation totals are the decisions': the first step's is the initial
+    one, and each record's is that of the step on the state after its
+    pivot, so every state is priced once.  `observe(before, decision,
     after)` sees every pivot, and `view(state)` is the plain dictionary
     behind the state.  The run also stops with ITERATION_LIMIT when the
     budget is spent and, in exact mode, with CYCLE_DETECTED when a basis
@@ -124,10 +128,10 @@ def drive(
     seen = {d.signature()} if isinstance(d.mode, ExactMode) else None
     records: list[PivotRecord] = []
     initial_corner = d.corner()
-    initial = measure(state)
+    decision = step(state)
+    initial = decision.infeasibility
 
     while True:
-        decision = step(state)
         status = decision.status
         if status is not None:
             break
@@ -138,18 +142,19 @@ def drive(
         if observe is not None:
             observe(state, decision, nxt)
         after = view(nxt)
+        following = step(nxt)
         records.append(
             PivotRecord(
                 entering=d.column_label(decision.entering_column),
                 leaving=d.row_label(decision.leaving_row),
                 ratio=decision.ratio,
                 degenerate=d.mode.sign(decision.ratio) == 0,
-                infeasibility_after=measure(nxt),
+                infeasibility_after=following.infeasibility,
                 corner=after.corner(),
                 via_conjugate=decision.via_conjugate,
             )
         )
-        state, d = nxt, after
+        state, d, decision = nxt, after, following
         if seen is not None:
             sig = d.signature()
             if sig in seen:

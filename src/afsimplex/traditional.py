@@ -22,7 +22,7 @@ from typing import Optional
 
 from .dictionary import Dictionary, LabelKind, artificial, slack, structural
 from .model import StandardProblem
-from .numeric import ExactMode, Value
+from .numeric import ExactMode
 from .phase1 import select_entering, select_leaving
 from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
@@ -51,10 +51,6 @@ class AuxiliaryDictionary:
     def aux_num(self) -> tuple:
         """Numerators of the auxiliary row, over `inner.den`."""
         return self.inner.row(self.inner.m + 1)
-
-    def infeasibility(self) -> Value:
-        """Total value of the basic artificials (= minus the row's value)."""
-        return self.inner.value(-self.aux_num[0])
 
     def conjugate_column(self, row: int) -> int:
         """Nonbasis position of the slack conjugate to the artificial in
@@ -141,25 +137,27 @@ def traditional_step(
     alone is not enough, because a degenerate artificial can sit at zero
     while the row still prices columns.  Entering is the most negative
     auxiliary-row entry (ties to the smallest label); leaving is the
-    classical minimum ratio over positive column entries.
+    classical minimum ratio over positive column entries.  The violation
+    total is the basic artificials' total, minus the auxiliary row's value.
     """
     d = aux.inner
     mode = d.mode
+    row = aux.aux_num
+    phi = d.value(-row[0])
     art_rows = artificial_rows(d)
     if not art_rows:
-        return Decision(None, None, None, Status.FEASIBLE)
+        return Decision(None, None, None, Status.FEASIBLE, phi)
 
     if use_trick:
         for r in art_rows:
             if mode.sign(d.column(0)[r]) == 0:
                 m = aux.conjugate_column(r)
-                return Decision(m, r, mode.zero, None, via_conjugate=True)
+                return Decision(m, r, mode.zero, None, phi, via_conjugate=True)
 
-    row = aux.aux_num
     entering = select_entering(row[1:], d.nonbasis, mode)
     if entering is None:
         if mode.sign(row[0]) < 0:
-            return Decision(None, None, None, Status.INFEASIBLE)
+            return Decision(None, None, None, Status.INFEASIBLE, phi)
         # Auxiliary optimum at zero with artificials stuck at value zero:
         # swap each out through any nonzero entry of its row (the
         # conjugate slack guarantees one exists).
@@ -169,14 +167,14 @@ def traditional_step(
         if not nonzero:
             raise RuntimeError(f"artificial row {r} is identically zero")
         best = min(nonzero, key=d.column_label)
-        return Decision(best, r, mode.zero, None)
+        return Decision(best, r, mode.zero, None, phi)
 
     best_row, best_ratio = select_leaving(d, entering, tie_break)
     if best_row is None:
         # The auxiliary objective is bounded above by zero, so a fully
         # nonpositive column cannot occur on consistent input.
         raise RuntimeError(f"auxiliary column {entering} has no positive entry")
-    return Decision(entering, best_row, best_ratio, None)
+    return Decision(entering, best_row, best_ratio, None, phi)
 
 
 def run_traditional_phase1(
@@ -196,7 +194,6 @@ def run_traditional_phase1(
         "traditional_phase1",
         aux,
         lambda aux: traditional_step(aux, cfg.use_trick, cfg.tie_break),
-        AuxiliaryDictionary.infeasibility,
         cfg,
         pivot=lambda aux, decision: (
             aux.conjugate_pivot if decision.via_conjugate else aux.pivot

@@ -429,10 +429,14 @@ def test_packed_rows_match_tuple_rows_through_a_pivot_walk(seed, monkeypatch):
     packed, plain = _twins(entries, monkeypatch)
     if seed % 2:
         assert packed.den > 1
-    packed, plain = _with_row(packed, plain.num[0]), _with_row(plain, plain.num[0])
+    row = plain.num[0]
+    packed, plain = _with_row(packed, row), _unpacked(monkeypatch, _with_row, plain, row)
     start_width = packed._width
     last = None
     for step in range(40):
+        # every step keeps each twin's format, so that the tuple-row update
+        # is checked against the packed one all along the walk
+        assert type(packed) is PackedDictionary and type(plain) is Dictionary
         _assert_same_numerators(packed, plain, rng)
         if step % 13 == 12 and plain.n > 2:
             j = rng.randint(1, plain.n)
@@ -457,6 +461,7 @@ def test_packed_rows_match_tuple_rows_through_a_pivot_walk(seed, monkeypatch):
         packed, plain = packed.pivot(r, m), plain.pivot(r, m)
         assert packed.row(plain.m + 1) == plain.row(plain.m + 1)
         last = (r, m)
+    assert type(packed) is PackedDictionary and type(plain) is Dictionary
     _assert_same_numerators(packed, plain, rng)
     assert packed._width > start_width
 

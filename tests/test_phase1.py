@@ -336,7 +336,7 @@ def test_monitor_prices_w_from_the_dictionary(walk_sp):
     # the monitor must see that from the dictionary, not from the decision
     before = initial_dictionary(walk_sp).pivot(1, 1)
     monitor = af.InvariantMonitor()
-    monitor.observe(before, Decision(1, 1, 4, None), before.pivot(1, 1))
+    monitor.observe(before, Decision(1, 1, 4, None, infeasibility_sum(before)), before.pivot(1, 1))
     assert "entering column 1 has W = 9" in monitor.violations
 
 
@@ -402,7 +402,7 @@ def test_no_row_joins_l_matches_the_per_label_checks(case):
     rhs, entry = before.num[r][0], before.num[r][m]
     ratio = F(rhs, entry) if before.mode is EXACT else rhs / entry
     monitor = af.InvariantMonitor()
-    monitor.observe(before, Decision(m, r, ratio, None), after)
+    monitor.observe(before, Decision(m, r, ratio, None, infeasibility_sum(before)), after)
     joined = [v for v in monitor.violations if " joined L at " in v]
     reference = reference_feasibility_violations(before, after)
     assert bool(joined) == bool(reference)
@@ -434,7 +434,7 @@ def test_row_sum_prices_w_as_the_column_sums_did(case, data):
         return
     assert list(total[1:]) == w
     assert total[0] == sum(d.num[i][0] for i in rows)
-    # phi is the rhs sum alone: minus column 0 of the row sum over L
+    # phi is minus column 0 of the row sum over L
     assert d.value(d.sum_rows(infeasible_rows(d))[0]) == -infeasibility_sum(d)
 
 
@@ -463,7 +463,8 @@ def test_monitor_names_the_slack_that_joins_l():
         entries=((F(0), F(0)), (F(1), F(1)), (F(4), F(1))),
     )
     monitor = af.InvariantMonitor()
-    monitor.observe(before, Decision(1, 2, F(4), None), before.pivot(2, 1))
+    decision = Decision(1, 2, F(4), None, infeasibility_sum(before))
+    monitor.observe(before, decision, before.pivot(2, 1))
     assert "w1 joined L at -3" in monitor.violations
 
 

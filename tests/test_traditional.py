@@ -54,7 +54,7 @@ def test_build_auxiliary_walk(walk_sp):
     assert [l.name for l in d.basis] == ["w1", "a2", "a3", "a4", "a5"]
     assert [l.name for l in d.nonbasis] == ["x1", "x2", "w2", "w3", "w4", "w5"]
     assert [d.rhs(i) for i in range(1, 6)] == [F(4), F(6), F(18), F(8), F(32)]
-    assert aux.infeasibility() == F(64)
+    assert traditional_step(aux).infeasibility == F(64)
     assert tuple(map(aux.inner.value, aux.aux_num)) == (
         F(-64), F(-9), F(-8), F(1), F(1), F(1), F(1)
     )
@@ -66,7 +66,7 @@ def test_build_auxiliary_feasible_problem_has_no_artificials():
     sp = problem_from("max: x1;\nc1: x1 <= 3;\n")
     aux = build_auxiliary(sp)
     assert all(l.kind is not LabelKind.ARTIFICIAL for l in aux.inner.basis)
-    assert aux.infeasibility() == F(0)
+    assert traditional_step(aux).infeasibility == F(0)
     decision = traditional_step(aux, use_trick=False, tie_break=TieBreak.SMALLEST_LABEL)
     assert decision.status is Status.FEASIBLE
 
