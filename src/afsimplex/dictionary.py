@@ -22,8 +22,8 @@ read the numerators directly; `entries`, `entry`, `rhs`,
 
 Rows past m, which no basis label names, ride along: a pivot or dropped
 column updates them like the others (the traditional method keeps its
-auxiliary objective there), the negative transpose takes none of them
-and `stripped` drops them.
+auxiliary objective there, and hands it on to phase 2, which never reads
+it), and the negative transpose takes none of them.
 
 Steps read the numerators through three methods: `column(j)` (column 0
 and the last other column read are kept per dictionary), `row(i)` and
@@ -32,9 +32,10 @@ and the last other column read are kept per dictionary), `row(i)` and
 an exact grid of at least PACK_CELLS cells is a `packed.PackedDictionary`,
 whose row i is the one int sum_j N_ij * 2**(k*j), so that a pivot updates
 a row with one big-int multiply, subtract and divide instead of a loop
-over its entries (see that class and the README's "Packed rows").  `_grid`
-chooses the format when a grid is built; a pivot or dropped column keeps
-it, and `_tuples` builds every tuple-row grid.
+over its entries (see that class and the README's "Packed rows").  The
+format is fixed when a start is built, by `from_numerators`; every pivot,
+dropped column and negative transpose of that start keeps its class and
+builds through the class's `_of`.
 """
 
 from __future__ import annotations
@@ -141,8 +142,23 @@ class Dictionary:
         """The dictionary whose entries are num[i][j] / den, den being its
         D0 (1 in float mode), as the constructor would build it from those
         values; the shape is the caller's to keep, and rows past m ride
-        along."""
-        return _grid(basis, nonbasis, num, den, mode, den, frozenset(basis))
+        along.  It fixes the start's row format: an exact grid of at least
+        PACK_CELLS cells, rows past m counted, is packed, any other not."""
+        of = Dictionary._of
+        if isinstance(mode, ExactMode) and len(num) * len(num[0]) >= PACK_CELLS:
+            # Imported here, so that a run that never packs never compiles it.
+            from .packed import PackedDictionary
+
+            of = PackedDictionary._of
+        return of(basis, nonbasis, num, den, mode, den, frozenset(basis))
+
+    @classmethod
+    def _of(cls, basis, nonbasis, num, den, mode, d0, scaled) -> "Dictionary":
+        """A new grid of numerators over den, a tuple per row."""
+        d = object.__new__(cls)
+        d._set(basis, nonbasis, den, mode, d0, scaled)
+        d.num = num
+        return d
 
     def _set(self, basis, nonbasis, den, mode, d0, scaled) -> None:
         """Every field but the numerators."""
@@ -208,7 +224,8 @@ class Dictionary:
     def sum_rows(self, rows) -> tuple:
         """Numerators of the sum of the given rows, column 0 included
         (zeros when there are none).  The rows are added one after another
-        in the order given, so a float sum is reproducible."""
+        in the order given, so a float sum is reproducible; af gives the
+        order of `infeasible_rows`' frozenset, which is not ascending."""
         total = [0] * (self.n + 1)
         for i in rows:
             total = [x + y for x, y in zip(total, self.num[i])]
@@ -285,7 +302,7 @@ class Dictionary:
                     new[m] = -f
                 num.append(tuple(new))
             den = 1
-        return _tuples(basis, nonbasis, tuple(num), den, self.mode, self._d0, self._scaled)
+        return self._of(basis, nonbasis, tuple(num), den, self.mode, self._d0, self._scaled)
 
     def _factors(self, r: int, m: int, p: int) -> tuple[int, int, int, int]:
         """(sn, sd, p * sn, den * sd) for the exact pivot on (r, m) of
@@ -304,7 +321,7 @@ class Dictionary:
         """Remove nonbasis position m (used to retire artificial columns)."""
         nonbasis = self.nonbasis[: m - 1] + self.nonbasis[m:]
         num = tuple(row[:m] + row[m + 1 :] for row in self.num)
-        return _tuples(self.basis, nonbasis, num, self.den, self.mode, self._d0, self._scaled)
+        return self._of(self.basis, nonbasis, num, self.den, self.mode, self._d0, self._scaled)
 
     def structural_column(self, j: int, value) -> list:
         """Column j at the basic structural variables, each numerator read
@@ -323,11 +340,6 @@ class Dictionary:
         """Structural-variable values at the current basic solution."""
         return tuple(self.structural_column(0, self.value))
 
-    def stripped(self) -> "Dictionary":
-        """This dictionary without its rows past m."""
-        num = self.num[: self.m + 1]
-        return _grid(self.basis, self.nonbasis, num, self.den, self.mode, self._d0, self._scaled)
-
     def negative_transpose(self) -> "Dictionary":
         """The dual dictionary D*: d*_ji = -d_ij with border rows swapped.
 
@@ -341,28 +353,8 @@ class Dictionary:
         num = [(-cols[0][0],) + cols[0][1:]]
         num += [(col[0],) + tuple([-x for x in col[1:]]) for col in cols[1:]]
         scaled = frozenset(self.basis + self.nonbasis) - self._scaled
-        return _grid(self.nonbasis, self.basis, tuple(num), self.den, self.mode, self._d0,
-                     scaled)
-
-
-def _grid(basis, nonbasis, num, den, mode, d0, scaled) -> Dictionary:
-    """A new grid of numerators over den, in the row format it gets: an
-    exact grid of at least PACK_CELLS cells, rows past m counted, is a
-    `packed.PackedDictionary`, any other a tuple-row Dictionary."""
-    if isinstance(mode, ExactMode) and len(num) * len(num[0]) >= PACK_CELLS:
-        # Imported here, so that a run that never packs never compiles it.
-        from .packed import PackedDictionary
-
-        return PackedDictionary._packing(basis, nonbasis, num, den, mode, d0, scaled)
-    return _tuples(basis, nonbasis, num, den, mode, d0, scaled)
-
-
-def _tuples(basis, nonbasis, num, den, mode, d0, scaled) -> Dictionary:
-    """A new tuple-row grid of numerators over den, whatever its size."""
-    d = object.__new__(Dictionary)
-    d._set(basis, nonbasis, den, mode, d0, scaled)
-    d.num = num
-    return d
+        return self._of(self.nonbasis, self.basis, tuple(num), self.den, self.mode, self._d0,
+                        scaled)
 
 
 def initial_dictionary(sp: StandardProblem) -> Dictionary:

@@ -1,10 +1,11 @@
 """Exact dictionaries whose rows are held as one int each.
 
-`dictionary._grid` builds a PackedDictionary for an exact grid of at
-least `dictionary.PACK_CELLS` cells.  Only this module and
-`dictionary` know the layout: callers read a PackedDictionary through
-`column`, `row` and `sum_rows` as they read any Dictionary.  The README's
-"Packed rows" gives the layout and the proof of the width.
+`Dictionary.from_numerators` builds a PackedDictionary for an exact start
+of at least `dictionary.PACK_CELLS` cells; the format is fixed when a
+start is built, so all that derives from it stays packed.  Only this
+module and `dictionary` know the layout: callers read a PackedDictionary
+through `column`, `row` and `sum_rows` as they read any Dictionary.  The
+README's "Packed rows" gives the layout and the proof of the width.
 """
 
 from __future__ import annotations
@@ -40,14 +41,14 @@ class PackedDictionary(Dictionary):
     keeps the headroom of `_slot_width` over it: a sign bit, bits(m + 1)
     so that a sum of rows still decodes, and GROW bits to grow into.
     `column`, `row` and `sum_rows` decode only what they return; `num`
-    decodes the whole grid once, for the negative transpose, `stripped`,
-    `entries` and tests.
+    decodes the whole grid once, for the negative transpose, `entries` and
+    tests.
     """
 
     __slots__ = ("rows", "_width", "_bias", "_bound", "_num")
 
     @classmethod
-    def _packing(cls, basis, nonbasis, num, den, mode, d0, scaled) -> "PackedDictionary":
+    def _of(cls, basis, nonbasis, num, den, mode, d0, scaled) -> "PackedDictionary":
         """Pack a grid of numerators over den at the width its values need."""
         bound = max(den, *[abs(x) for row in num for x in row]).bit_length()
         width = _slot_width(bound, len(basis))

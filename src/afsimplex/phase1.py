@@ -25,7 +25,9 @@ class NoEligibleRow(RuntimeError):
 
 
 def infeasible_rows(d: Dictionary) -> frozenset[int]:
-    """Indices of rows whose basic variable is currently negative."""
+    """Indices of rows whose basic variable is currently negative.  W and
+    phi add them in the set's order, which is not ascending and sets a
+    float sum's bits: `list(frozenset({5, 10}))` is `[10, 5]`."""
     rhs, sign = d.column(0), d.mode.sign
     return frozenset(i for i in range(1, d.m + 1) if sign(rhs[i]) < 0)
 

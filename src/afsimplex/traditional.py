@@ -5,8 +5,8 @@ Rows whose right-hand side is negative get an artificial basic variable
 objective drives the total artificial value to zero with the classical
 Dantzig rule and minimum-ratio test.  Artificial columns are never
 materialized: an artificial that leaves the basis is retired on the
-spot, so the method ends with a plain dictionary over the original
-labels.
+spot, so on FEASIBLE the method ends with a dictionary over the original
+labels, its auxiliary row still riding past row m.
 
 A basic artificial sitting at value zero can always be swapped out
 against its conjugate slack, whose coefficient in that row is exactly -1
@@ -183,11 +183,12 @@ def run_traditional_phase1(
 ) -> tuple[Dictionary, Status, Trace]:
     """Iterate traditional_step until the basis is free of artificials.
 
-    On FEASIBLE the returned dictionary is the plain dictionary over
-    structural and slack labels with the original objective row intact;
-    on INFEASIBLE it is the terminal auxiliary interior (artificials
-    still basic, their total being the minimal violation).  Either way
-    the auxiliary row is stripped off.
+    Returns `aux.inner` as it stands, in its start's row format, the
+    auxiliary row still riding as row m + 1.  On FEASIBLE its basis rows
+    are the plain dictionary over structural and slack labels with the
+    original objective row intact; on INFEASIBLE they are the terminal
+    auxiliary interior (artificials still basic, their total being the
+    minimal violation).
     """
     cfg = config or SolveConfig()
     aux, status, trace = drive(
@@ -200,4 +201,4 @@ def run_traditional_phase1(
         )(decision.leaving_row, decision.entering_column),
         view=lambda aux: aux.inner,
     )
-    return aux.inner.stripped(), status, trace
+    return aux.inner, status, trace

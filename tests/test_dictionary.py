@@ -20,6 +20,7 @@ from afsimplex.dictionary import (
     structural,
 )
 from afsimplex.packed import PackedDictionary
+from afsimplex.traditional import artificial_rows
 
 from conftest import problem_from
 
@@ -362,8 +363,8 @@ def test_label_keeps_the_dataclass_order_hash_equality_and_names():
 
 
 def _unpacked(monkeypatch, build, *args):
-    """`build(*args)` with packing off, so that any grid it builds has
-    tuple rows."""
+    """`build(*args)` with packing off, so that any start it builds has
+    tuple rows, and so does every dictionary derived from it."""
     with monkeypatch.context() as patch:
         patch.setattr(dictionary, "PACK_CELLS", float("inf"))
         return build(*args)
@@ -381,8 +382,9 @@ def _twins(entries, monkeypatch):
 
 
 def _with_row(d, row):
-    """`d` with `row` appended past row m; den, D0 and label scales kept."""
-    return dictionary._grid(d.basis, d.nonbasis, d.num + (row,), d.den, d.mode, d._d0, d._scaled)
+    """`d` with `row` appended past row m; row format, den, D0 and label
+    scales kept."""
+    return d._of(d.basis, d.nonbasis, d.num + (row,), d.den, d.mode, d._d0, d._scaled)
 
 
 def _assert_same_numerators(packed, plain, rng):
@@ -430,7 +432,7 @@ def test_packed_rows_match_tuple_rows_through_a_pivot_walk(seed, monkeypatch):
     if seed % 2:
         assert packed.den > 1
     row = plain.num[0]
-    packed, plain = _with_row(packed, row), _unpacked(monkeypatch, _with_row, plain, row)
+    packed, plain = _with_row(packed, row), _with_row(plain, row)
     start_width = packed._width
     last = None
     for step in range(40):
@@ -444,11 +446,10 @@ def test_packed_rows_match_tuple_rows_through_a_pivot_walk(seed, monkeypatch):
             last = None
             continue
         if step % 17 == 16:
-            packed = packed.negative_transpose()
-            plain = _unpacked(monkeypatch, plain.negative_transpose)
+            packed, plain = packed.negative_transpose(), plain.negative_transpose()
             assert type(packed) is PackedDictionary and type(plain) is Dictionary
             row = plain.num[0]
-            packed, plain = _with_row(packed, row), _unpacked(monkeypatch, _with_row, plain, row)
+            packed, plain = _with_row(packed, row), _with_row(plain, row)
             last = None
             continue
         spots = [
@@ -492,33 +493,50 @@ def test_only_large_exact_grids_are_packed():
     assert type(grid(16)) is PackedDictionary
     assert type(grid(16, af.FloatMode(1e-9))) is Dictionary
 
-    def assert_format(d):
-        # Cells counted over every row of the grid, rows past m included.
-        cells = len(d.column(0)) * len(d.row(0))
-        assert isinstance(d, PackedDictionary) is (cells >= dictionary.PACK_CELLS)
-        return cells
+    def cells(d):
+        # Every row of the grid, rows past m included.
+        return len(d.column(0)) * len(d.row(0))
 
-    # The transpose takes no row past m: 15 x 16 + a riding row is 256
-    # cells, and its transpose 16 x 15 is not packed; 16 x 16 + a row is.
-    for rows, cols, transposed in ((15, 16, 240), (16, 16, 256), (15, 17, 255)):
+    # The format is chosen by the start's cell count, its riding row
+    # counted, and every pivot, dropped column and negative transpose keeps
+    # it whatever its size: 15 x 16 + a riding row is 256 cells, packed, and
+    # its transpose, which takes no row past m, stays packed at 16 x 15.
+    for rows, cols in ((15, 16), (14, 17), (16, 16), (15, 17)):
         d = Dictionary.from_numerators(
             tuple(slack(i + 1) for i in range(rows - 1)),
             tuple(structural(j + 1) for j in range(cols - 1)),
             ((1,) * cols,) * (rows + 1), 1, af.EXACT,
         )
-        assert assert_format(d) == (rows + 1) * cols
-        assert assert_format(d.negative_transpose()) == transposed
-        assert assert_format(d.stripped()) == rows * cols
-    # The auxiliary grid (m + 2) x (p + k + 1) and the (m + 1) x (p + 1)
-    # dictionary phase 1 returns once the k artificial columns are retired.
-    for m, p, aux_cells, done_cells in (
-        (14, 14, 256, 225), (13, 15, 255, 224), (15, 15, 289, 256), (14, 16, 288, 255),
+        assert cells(d) == (rows + 1) * cols
+        assert (type(d) is PackedDictionary) is (cells(d) >= dictionary.PACK_CELLS)
+        transposed = d.negative_transpose()
+        assert cells(transposed) == cols * rows
+        back = transposed.pivot(1, 1).drop_column(1).negative_transpose()
+        for derived in (d.pivot(1, 1), d.drop_column(1), transposed, back):
+            assert type(derived) is type(d)
+    # Phase 1 returns the grid it pivoted, in the auxiliary start's format:
+    # (m + 2) x (p + k + 1) cells with k = 1, one column fewer once the
+    # artificial is retired, and the auxiliary row still riding as row
+    # m + 1.  That row is minus the artificial rows' sum: zero when none is
+    # basic, and the stuck artificial's row negated when the last bound
+    # row is made to contradict row c0.
+    for m, p, aux_cells, feasible_cells in (
+        (14, 14, 256, 240), (13, 15, 255, 240), (15, 15, 289, 272), (14, 16, 288, 272),
     ):
-        text = f"max: {' + '.join(f'x{j}' for j in range(1, p + 1))};\n"
-        text += f"c0: {' + '.join(f'x{j}' for j in range(1, p + 1))} >= 1;\n"
-        text += "".join(f"c{i}: x{i} <= 5;\n" for i in range(1, m))
-        aux = af.build_auxiliary(problem_from(text))
-        assert assert_format(aux.inner) == aux_cells
-        d, status, _ = af.run_traditional_phase1(aux)
-        assert status is af.Status.FEASIBLE
-        assert assert_format(d) == done_cells
+        total = " + ".join(f"x{j}" for j in range(1, p + 1))
+        bounds = [f"c{i}: x{i} <= 5;\n" for i in range(1, m)]
+        for last, want, done_cells in (
+            (bounds[-1], af.Status.FEASIBLE, feasible_cells),
+            (f"c{m - 1}: {total} <= 0;\n", af.Status.INFEASIBLE, aux_cells),
+        ):
+            text = f"max: {total};\nc0: {total} >= 1;\n" + "".join(bounds[:-1]) + last
+            aux = af.build_auxiliary(problem_from(text))
+            assert cells(aux.inner) == aux_cells
+            assert (type(aux.inner) is PackedDictionary) is (aux_cells >= dictionary.PACK_CELLS)
+            d, status, _ = af.run_traditional_phase1(aux)
+            assert status is want
+            assert type(d) is type(aux.inner)
+            assert cells(d) == done_cells
+            rows = artificial_rows(d)
+            assert bool(rows) is (status is af.Status.INFEASIBLE)
+            assert d.row(d.m + 1) == tuple(-x for x in d.sum_rows(rows))

@@ -378,11 +378,14 @@ def test_build_auxiliary_matches_reference(sp):
     assert aux.aux_num == ref.aux_num
 
 
-def _assert_same_start(got: Dictionary, want: Dictionary) -> None:
+def _assert_same_start(got: Dictionary, want: Dictionary, rows=None) -> None:
+    """The two starts agree bit for bit, on their first `rows` grid rows
+    when given."""
+    assert type(got) is type(want)
     assert got.basis == want.basis
     assert got.nonbasis == want.nonbasis
-    assert got.num == want.num
-    assert repr(got.num) == repr(want.num)  # signed zeros and int/float too
+    assert got.num[:rows] == want.num[:rows]
+    assert repr(got.num[:rows]) == repr(want.num[:rows])  # signed zeros and int/float too
     assert got.den == want.den
     assert got._d0 == want._d0
     assert got._scaled == want._scaled
@@ -403,7 +406,7 @@ def test_starting_dictionaries_match_the_value_grid(sp, data):
     aux = build_auxiliary(sp)
     _assert_same_start(initial_dictionary(sp), Dictionary(basis, nonbasis, values, mode))
     # The auxiliary rows are equal values, not equal bits (see above).
-    _assert_same_start(aux.inner.stripped(), reference_build_auxiliary(sp).inner.stripped())
+    _assert_same_start(aux.inner, reference_build_auxiliary(sp).inner, sp.m + 1)
     for d in (initial_dictionary(sp), aux.inner):
         reference = d.entries
         for _ in range(data.draw(st.integers(0, 4))):
