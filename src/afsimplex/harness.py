@@ -75,11 +75,13 @@ def solve(
     The outcome status is OPTIMAL, INFEASIBLE or UNBOUNDED, or a
     safeguard status (CYCLE_DETECTED / ITERATION_LIMIT) if a run was cut
     short.  Optimal outcomes carry the solution and the objective value
-    in the sense of the original problem; infeasible outcomes name the
-    dictionary rows certifying emptiness; unbounded outcomes carry an
-    improving feasible ray over the structural variables.  The monitor
-    watches only the af phase 1; passing one with another method raises
-    ValueError.
+    in the sense of the original problem; unbounded outcomes carry an
+    improving feasible ray over the structural variables.  Infeasible
+    outcomes name the rows still violated at the stop (af) or the rows
+    whose artificial stays positive (trad).  Those rows alone need not
+    be infeasible, so they do not certify emptiness; Farkas multipliers
+    would.  The monitor watches only the af phase 1; passing one with
+    another method raises ValueError.
     """
     cfg = config or SolveConfig()
     d1, s1, trace1 = _phase1(sp, method, cfg, monitor)
@@ -106,11 +108,11 @@ def solve(
         if method is Method.ARTIFICIAL_FREE:
             rows = infeasible_rows(d1)
         else:
-            # In exact mode the auxiliary dictionary stays primal feasible
-            # and the stuck positive artificials certify emptiness.  In
-            # float mode at --eps 0.1 a basic structural can end negative:
-            # x2 at -0.75 on generate_lp(88, 5, 3) and x4 at -0.27 on
-            # generate_lp(106, 5, 6), both INFEASIBLE_BIASED.
+            # The artificials stuck positive.  In exact mode the auxiliary
+            # dictionary stays primal feasible, so no other row is
+            # negative.  In float mode at --eps 0.1 a basic structural can
+            # end negative: x2 at -0.75 on generate_lp(88, 5, 3) and x4 at
+            # -0.27 on generate_lp(106, 5, 6), both INFEASIBLE_BIASED.
             rows = frozenset(
                 i for i in artificial_rows(d1) if d1.mode.sign(d1.rhs(i)) > 0
             )

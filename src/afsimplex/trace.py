@@ -8,7 +8,7 @@ from enum import Enum
 from itertools import groupby
 from typing import Callable, Optional
 
-from .dictionary import Label
+from .dictionary import Dictionary, Label
 from .numeric import ExactMode, Value
 
 
@@ -104,31 +104,30 @@ def pivot_on(d, decision: Decision):
 
 def drive(
     method: str,
-    state,
+    d: Dictionary,
     step: Callable,
     config: SolveConfig,
     pivot: Callable = pivot_on,
     observe: Optional[Callable] = None,
-    view: Callable = lambda state: state,
 ) -> tuple:
-    """The one pivot loop: pivot from `state` until a stop, recording a trace.
+    """The one pivot loop: pivot from dictionary `d` until a stop, recording
+    a trace; returns the last dictionary, the status and the trace.
 
-    `step(state)` returns a Decision; one with a status ends the run with
-    it, any other is performed by `pivot(state, decision)`.  The trace's
-    violation totals are the decisions': the first step's is the initial
-    one, and each record's is that of the step on the state after its
-    pivot, so every state is priced once.  `observe(before, decision,
-    after)` sees every pivot, and `view(state)` is the plain dictionary
-    behind the state.  The run also stops with ITERATION_LIMIT when the
-    budget is spent and, in exact mode, with CYCLE_DETECTED when a basis
-    repeats.  A pivot is degenerate when its ratio classifies as zero.
+    `step(d)` returns a Decision; one with a status ends the run with it,
+    any other is performed by `pivot(d, decision)`, which returns the next
+    dictionary.  The trace's violation totals are the decisions': the
+    first step's is the initial one, and each record's is that of the step
+    on the dictionary after its pivot, so every dictionary is priced once.
+    `observe(before, decision, after)` sees every pivot.  The run also
+    stops with ITERATION_LIMIT when the budget is spent and, in exact
+    mode, with CYCLE_DETECTED when a basis repeats.  A pivot is degenerate
+    when its ratio classifies as zero.
     """
-    d = view(state)
     budget = config.iteration_budget(d.m, d.n)
     seen = {d.signature()} if isinstance(d.mode, ExactMode) else None
     records: list[PivotRecord] = []
     initial_corner = d.corner()
-    decision = step(state)
+    decision = step(d)
     initial = decision.infeasibility
 
     while True:
@@ -138,11 +137,10 @@ def drive(
         if len(records) >= budget:
             status = Status.ITERATION_LIMIT
             break
-        nxt = pivot(state, decision)
+        after = pivot(d, decision)
         if observe is not None:
-            observe(state, decision, nxt)
-        after = view(nxt)
-        following = step(nxt)
+            observe(d, decision, after)
+        following = step(after)
         records.append(
             PivotRecord(
                 entering=d.column_label(decision.entering_column),
@@ -154,7 +152,7 @@ def drive(
                 via_conjugate=decision.via_conjugate,
             )
         )
-        state, d, decision = nxt, after, following
+        d, decision = after, following
         if seen is not None:
             sig = d.signature()
             if sig in seen:
@@ -162,4 +160,4 @@ def drive(
                 break
             seen.add(sig)
 
-    return state, status, Trace(method, status, initial_corner, initial, tuple(records))
+    return d, status, Trace(method, status, initial_corner, initial, tuple(records))

@@ -3,10 +3,15 @@
 Rows whose right-hand side is negative get an artificial basic variable
 (rows already satisfied at the origin keep their slack); the auxiliary
 objective drives the total artificial value to zero with the classical
-Dantzig rule and minimum-ratio test.  Artificial columns are never
-materialized: an artificial that leaves the basis is retired on the
-spot, so on FEASIBLE the method ends with a dictionary over the original
-labels, its auxiliary row still riding past row m.
+Dantzig rule and minimum-ratio test.
+
+The state is a plain `Dictionary` whose grid carries the auxiliary row
+as row m + 1, past the basis rows.  The row rides through every pivot
+and dropped column by the rule that updates the other rows, and its
+value is minus the basic artificials' total.  Artificial columns are
+never materialized: `AuxiliaryDictionary.pivot` retires an artificial
+that leaves the basis on the spot, so on FEASIBLE the method ends with a
+dictionary over the original labels, its auxiliary row still riding.
 
 A basic artificial sitting at value zero can always be swapped out
 against its conjugate slack, whose coefficient in that row is exactly -1
@@ -34,42 +39,30 @@ def artificial_rows(d: Dictionary) -> tuple[int, ...]:
     )
 
 
+def conjugate_column(d: Dictionary, row: int) -> int:
+    """Nonbasis position of the slack conjugate to the artificial in `row`.
+    While the artificial is basic, that slack's column has one nonzero
+    entry, the -1 in this row, so the slack cannot have entered."""
+    label = d.row_label(row)
+    if label.kind is not LabelKind.ARTIFICIAL:
+        raise ValueError(f"row {row} holds {label.name}, not an artificial")
+    return d.nonbasis.index(slack(label.index)) + 1
+
+
 @dataclass(frozen=True)
 class AuxiliaryDictionary:
-    """A dictionary whose grid carries the auxiliary objective row.
-
-    `inner` carries the original objective in its row 0 the whole time
-    and the auxiliary row, in the same convention, as its row m + 1
-    (entry 0 is the current value, which equals minus the total of the
-    basic artificial values).  The row rides along through every pivot
-    and dropped column by the rule that updates the other rows.
-    """
+    """The artificial method's pivot rule over the dictionary `inner`; a
+    class only because perfbench's tracer wraps its two methods by name."""
 
     inner: Dictionary
 
-    @property
-    def aux_num(self) -> tuple:
-        """Numerators of the auxiliary row, over `inner.den`."""
-        return self.inner.row(self.inner.m + 1)
-
-    def conjugate_column(self, row: int) -> int:
-        """Nonbasis position of the slack conjugate to the artificial in
-        `row`.  While the artificial is basic, that slack's column has one
-        nonzero entry, the -1 in this row, so the slack cannot have entered."""
-        label = self.inner.row_label(row)
-        if label.kind is not LabelKind.ARTIFICIAL:
-            raise ValueError(f"row {row} holds {label.name}, not an artificial")
-        return self.inner.nonbasis.index(slack(label.index)) + 1
-
-    def pivot(self, r: int, m: int) -> "AuxiliaryDictionary":
+    def pivot(self, r: int, m: int) -> Dictionary:
         """Pivot both objective rows; retire the column of a leaving artificial."""
         leaving = self.inner.row_label(r)
-        inner = self.inner.pivot(r, m)
-        if leaving.kind is LabelKind.ARTIFICIAL:
-            inner = inner.drop_column(m)
-        return AuxiliaryDictionary(inner)
+        d = self.inner.pivot(r, m)
+        return d.drop_column(m) if leaving.kind is LabelKind.ARTIFICIAL else d
 
-    def conjugate_pivot(self, r: int, m: int) -> "AuxiliaryDictionary":
+    def conjugate_pivot(self, r: int, m: int) -> Dictionary:
         """The shortcut pivot for a zero-valued basic artificial.
 
         Requires entry (r, m) to be exactly -1 with rhs 0 and column m to
@@ -92,7 +85,7 @@ class AuxiliaryDictionary:
         return self.pivot(r, m)
 
 
-def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
+def build_auxiliary(sp: StandardProblem) -> Dictionary:
     """Auxiliary starting dictionary for the artificial-variable method.
 
     Rows with b_i >= 0 keep their slack basic; rows with b_i < 0 get a
@@ -122,12 +115,11 @@ def build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
     for i in negative:
         total = [x + y for x, y in zip(total, rows[i])]
     rows.append(tuple(-x for x in total))
-    inner = Dictionary.from_numerators(tuple(basis), columns, tuple(rows), den, mode)
-    return AuxiliaryDictionary(inner)
+    return Dictionary.from_numerators(tuple(basis), columns, tuple(rows), den, mode)
 
 
 def traditional_step(
-    aux: AuxiliaryDictionary,
+    d: Dictionary,
     use_trick: bool = False,
     tie_break: TieBreak = TieBreak.SMALLEST_LABEL,
 ) -> Decision:
@@ -140,9 +132,8 @@ def traditional_step(
     classical minimum ratio over positive column entries.  The violation
     total is the basic artificials' total, minus the auxiliary row's value.
     """
-    d = aux.inner
     mode = d.mode
-    row = aux.aux_num
+    row = d.row(d.m + 1)
     phi = d.value(-row[0])
     art_rows = artificial_rows(d)
     if not art_rows:
@@ -151,7 +142,7 @@ def traditional_step(
     if use_trick:
         for r in art_rows:
             if mode.sign(d.column(0)[r]) == 0:
-                m = aux.conjugate_column(r)
+                m = conjugate_column(d, r)
                 return Decision(m, r, mode.zero, None, phi, via_conjugate=True)
 
     entering = select_entering(row[1:], d.nonbasis, mode)
@@ -178,27 +169,29 @@ def traditional_step(
 
 
 def run_traditional_phase1(
-    aux: AuxiliaryDictionary,
+    d: Dictionary,
     config: Optional[SolveConfig] = None,
 ) -> tuple[Dictionary, Status, Trace]:
     """Iterate traditional_step until the basis is free of artificials.
 
-    Returns `aux.inner` as it stands, in its start's row format, the
-    auxiliary row still riding as row m + 1.  On FEASIBLE its basis rows
+    Returns the last dictionary as it stands, in its start's row format,
+    the auxiliary row still riding as row m + 1.  On FEASIBLE its basis rows
     are the plain dictionary over structural and slack labels with the
     original objective row intact; on INFEASIBLE they are the terminal
     auxiliary interior (artificials still basic, their total being the
     minimal violation).
     """
     cfg = config or SolveConfig()
-    aux, status, trace = drive(
+
+    def pivot(d: Dictionary, decision: Decision) -> Dictionary:
+        aux = AuxiliaryDictionary(d)
+        move = aux.conjugate_pivot if decision.via_conjugate else aux.pivot
+        return move(decision.leaving_row, decision.entering_column)
+
+    return drive(
         "traditional_phase1",
-        aux,
-        lambda aux: traditional_step(aux, cfg.use_trick, cfg.tie_break),
+        d,
+        lambda d: traditional_step(d, cfg.use_trick, cfg.tie_break),
         cfg,
-        pivot=lambda aux, decision: (
-            aux.conjugate_pivot if decision.via_conjugate else aux.pivot
-        )(decision.leaving_row, decision.entering_column),
-        view=lambda aux: aux.inner,
+        pivot=pivot,
     )
-    return aux.inner, status, trace

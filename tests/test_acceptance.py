@@ -27,6 +27,7 @@ from afsimplex.oracle import enumerate_vertices
 from afsimplex.phase1 import InvariantMonitor, run_phase1
 from afsimplex.trace import SolveConfig, Status, TieBreak
 from afsimplex.traditional import (
+    AuxiliaryDictionary,
     build_auxiliary,
     run_traditional_phase1,
     traditional_step,
@@ -90,19 +91,20 @@ def test_criterion_3_full_solve_unbounded_with_verified_ray(walk_sp):
 def _audit_trick_run(sp):
     """Run traditional phase 1 with the shortcut, bit-checking each
     shortcut pivot against the pre-pivot entries."""
-    aux = build_auxiliary(sp)
+    d = build_auxiliary(sp)
     fired = 0
     while True:
-        decision = traditional_step(aux, use_trick=True)
+        decision = traditional_step(d, use_trick=True)
         if decision.status is not None:
             return decision.status, fired
         r, m = decision.leaving_row, decision.entering_column
-        before = aux.inner.entries
-        aux = aux.conjugate_pivot(r, m) if decision.via_conjugate else aux.pivot(r, m)
+        before = d.entries
+        aux = AuxiliaryDictionary(d)
+        d = aux.conjugate_pivot(r, m) if decision.via_conjugate else aux.pivot(r, m)
         if decision.via_conjugate:
             fired += 1
-            after = aux.inner.entries
-            for i in range(aux.inner.m + 1):
+            after = d.entries
+            for i in range(d.m + 1):
                 kept = before[i][:m] + before[i][m + 1 :]
                 if i == r:
                     assert after[i] == tuple(-x for x in kept)

@@ -15,6 +15,9 @@ import sys
 from pathlib import Path
 
 from afsimplex import harness
+from afsimplex.trace import SolveConfig
+
+from conftest import problem_from
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,3 +60,40 @@ def test_benchmark_tests_pass():
         timeout=300,
     )
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+def _inside(spans, span, name):
+    """Whether a span named `name` encloses `span`."""
+    while span.parent is not None:
+        span = spans[span.parent]
+        if span.name == name:
+            return True
+    return False
+
+
+def test_tracer_sees_every_traditional_pivot(monkeypatch, walk_sp):
+    # perfbench's `traditional.pivot` span wraps the two pivot methods of
+    # `AuxiliaryDictionary`: every phase-1 pivot of a traditional solve
+    # must pass through one of them, the shortcut's included, or the
+    # span's time silently reads 0.
+    monkeypatch.syspath_prepend(str(ROOT))
+    tracing = importlib.import_module("perfbench.tracing")
+    shortcut = problem_from("max: x1;\nc1: x1 >= 2;\nc2: x1 <= 2;\n")
+    for sp, config in ((walk_sp, SolveConfig()), (shortcut, SolveConfig(use_trick=True))):
+        with tracing.Tracer().installed() as tracer:
+            outcome = harness.solve(sp, harness.Method.TRADITIONAL, config)
+        spans = tracer.spans
+        direct = [
+            s
+            for s in spans
+            if s.name == "traditional.pivot" and spans[s.parent].name == "traditional.run"
+        ]
+        assert len(direct) == outcome.phase1.pivots > 0
+        phase1_pivots = [
+            s
+            for s in spans
+            if s.name == "dictionary.pivot" and _inside(spans, s, "traditional.run")
+        ]
+        assert len(phase1_pivots) == outcome.phase1.pivots
+        assert all(_inside(spans, s, "traditional.pivot") for s in phase1_pivots)
+        assert any(rec.via_conjugate for rec in outcome.phase1.records) is config.use_trick

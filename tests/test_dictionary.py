@@ -531,11 +531,11 @@ def test_only_large_exact_grids_are_packed():
         ):
             text = f"max: {total};\nc0: {total} >= 1;\n" + "".join(bounds[:-1]) + last
             aux = af.build_auxiliary(problem_from(text))
-            assert cells(aux.inner) == aux_cells
-            assert (type(aux.inner) is PackedDictionary) is (aux_cells >= dictionary.PACK_CELLS)
+            assert cells(aux) == aux_cells
+            assert (type(aux) is PackedDictionary) is (aux_cells >= dictionary.PACK_CELLS)
             d, status, _ = af.run_traditional_phase1(aux)
             assert status is want
-            assert type(d) is type(aux.inner)
+            assert type(d) is type(aux)
             assert cells(d) == done_cells
             rows = artificial_rows(d)
             assert bool(rows) is (status is af.Status.INFEASIBLE)

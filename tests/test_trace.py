@@ -65,9 +65,8 @@ def phi(d):
     return d.value(-total)
 
 
-def artificial_total(aux):
+def artificial_total(d):
     """The total value of the basic artificials (exact mode)."""
-    d = aux.inner
     return sum((d.rhs(i) for i in artificial_rows(d)), d.mode.zero)
 
 
@@ -75,30 +74,28 @@ def _plain_pivot(d, rec):
     return d.pivot
 
 
-def _auxiliary_pivot(aux, rec):
+def _auxiliary_pivot(d, rec):
+    aux = af.AuxiliaryDictionary(d)
     return aux.conjugate_pivot if rec.via_conjugate else aux.pivot
 
 
-# driver name -> (run, start, independent violation total, pivot, view).
-# Phase 2 starts primal feasible, so its total is zero throughout.
+# driver name -> (run, start, independent violation total, pivot).  Every
+# driver's state is a dictionary.  Phase 2 starts primal feasible, so its
+# total is zero throughout.
 MEASURED_BY = {
-    "phase1": (af.run_phase1, af.initial_dictionary, phi, _plain_pivot, lambda d: d),
-    "phase2": (
-        af.run_phase2, af.initial_dictionary, lambda d: d.mode.zero, _plain_pivot, lambda d: d
-    ),
+    "phase1": (af.run_phase1, af.initial_dictionary, phi, _plain_pivot),
+    "phase2": (af.run_phase2, af.initial_dictionary, lambda d: d.mode.zero, _plain_pivot),
     "dual_phase1": (
         af.run_dual_phase1,
         af.initial_dictionary,
         lambda d: phi(d.negative_transpose()),
         _plain_pivot,
-        lambda d: d,
     ),
     "traditional": (
         af.run_traditional_phase1,
         af.build_auxiliary,
         artificial_total,
         _auxiliary_pivot,
-        lambda aux: aux.inner,
     ),
 }
 
@@ -122,15 +119,14 @@ def check_totals(driver, sp, config=None):
     """Run `driver` on `sp` and compare every violation total of its trace
     with the independent measure of the state it follows, replayed by
     label; returns the status and trace."""
-    run, start, measure, pivot, view = MEASURED_BY[driver]
-    state = start(sp)
-    _, status, trace = run(state, config)
-    expected = [measure(state)]
+    run, start, measure, pivot = MEASURED_BY[driver]
+    d = start(sp)
+    _, status, trace = run(d, config)
+    expected = [measure(d)]
     for rec in trace.records:
-        d = view(state)
         r, m = d.basis.index(rec.leaving) + 1, d.nonbasis.index(rec.entering) + 1
-        state = pivot(state, rec)(r, m)
-        expected.append(measure(state))
+        d = pivot(d, rec)(r, m)
+        expected.append(measure(d))
     assert list(map(bits, recorded_totals(trace))) == list(map(bits, expected))
     return status, trace
 

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +23,7 @@ from afsimplex.traditional import (
     AuxiliaryDictionary,
     artificial_rows,
     build_auxiliary,
+    conjugate_column,
     traditional_step,
 )
 from afsimplex.trace import SolveConfig, Status, TieBreak
@@ -31,9 +33,8 @@ from test_acceptance import _sweep_instances
 from test_dictionary import reference_pivot
 
 
-def recomputed_phase1_row(aux: AuxiliaryDictionary):
+def recomputed_phase1_row(d: Dictionary):
     """Re-derive the artificial objective row from the artificial rows."""
-    d = aux.inner
     rows = [
         i
         for i in range(1, d.m + 1)
@@ -48,14 +49,13 @@ def recomputed_phase1_row(aux: AuxiliaryDictionary):
 
 
 def test_build_auxiliary_walk(walk_sp):
-    aux = build_auxiliary(walk_sp)
-    d = aux.inner
+    d = build_auxiliary(walk_sp)
     # artificials only where the right-hand side was negative
     assert [l.name for l in d.basis] == ["w1", "a2", "a3", "a4", "a5"]
     assert [l.name for l in d.nonbasis] == ["x1", "x2", "w2", "w3", "w4", "w5"]
     assert [d.rhs(i) for i in range(1, 6)] == [F(4), F(6), F(18), F(8), F(32)]
-    assert traditional_step(aux).infeasibility == F(64)
-    assert tuple(map(aux.inner.value, aux.aux_num)) == (
+    assert traditional_step(d).infeasibility == F(64)
+    assert tuple(map(d.value, d.row(d.m + 1))) == (
         F(-64), F(-9), F(-8), F(1), F(1), F(1), F(1)
     )
     # the real objective row rides along unchanged
@@ -64,10 +64,10 @@ def test_build_auxiliary_walk(walk_sp):
 
 def test_build_auxiliary_feasible_problem_has_no_artificials():
     sp = problem_from("max: x1;\nc1: x1 <= 3;\n")
-    aux = build_auxiliary(sp)
-    assert all(l.kind is not LabelKind.ARTIFICIAL for l in aux.inner.basis)
-    assert traditional_step(aux).infeasibility == F(0)
-    decision = traditional_step(aux, use_trick=False, tie_break=TieBreak.SMALLEST_LABEL)
+    d = build_auxiliary(sp)
+    assert all(l.kind is not LabelKind.ARTIFICIAL for l in d.basis)
+    assert traditional_step(d).infeasibility == F(0)
+    decision = traditional_step(d, use_trick=False, tie_break=TieBreak.SMALLEST_LABEL)
     assert decision.status is Status.FEASIBLE
 
 
@@ -95,22 +95,21 @@ def test_walk_golden_trace(walk_sp):
     assert trace.records[-1].infeasibility_after == F(0)
 
 
-def _assert_row_is_minus_the_artificial_sum(aux: AuxiliaryDictionary) -> None:
-    d = aux.inner
+def _assert_row_is_minus_the_artificial_sum(d: Dictionary) -> None:
     assert d.row(d.m + 1) == tuple(-x for x in d.sum_rows(artificial_rows(d)))
 
 
 def test_phase1_row_recomputes_after_every_pivot(walk_sp):
-    aux = build_auxiliary(walk_sp)
+    d = build_auxiliary(walk_sp)
     while True:
-        assert tuple(map(aux.inner.value, aux.aux_num)) == recomputed_phase1_row(aux)
-        _assert_row_is_minus_the_artificial_sum(aux)
+        assert tuple(map(d.value, d.row(d.m + 1))) == recomputed_phase1_row(d)
+        _assert_row_is_minus_the_artificial_sum(d)
         decision = traditional_step(
-            aux, use_trick=False, tie_break=TieBreak.SMALLEST_LABEL
+            d, use_trick=False, tie_break=TieBreak.SMALLEST_LABEL
         )
         if decision.status is not None:
             break
-        aux = aux.pivot(decision.leaving_row, decision.entering_column)
+        d = AuxiliaryDictionary(d).pivot(decision.leaving_row, decision.entering_column)
     assert decision.status is Status.FEASIBLE
     # Exact mode, with and without the shortcut: row m + 1, updated by the
     # rule that updates every row, is minus the sum of the artificial rows
@@ -121,68 +120,69 @@ def test_phase1_row_recomputes_after_every_pivot(walk_sp):
         for seed, rows, cols, shape in _sweep_instances()
     ]
     ladders = [problem_from(ladder_text(20, shape)) for shape in af.Shape]
-    assert all(isinstance(build_auxiliary(sp).inner, PackedDictionary) for sp in ladders)
+    assert all(isinstance(build_auxiliary(sp), PackedDictionary) for sp in ladders)
     states = 0
     for sp in problems + ladders:
         for use_trick in (False, True):
-            aux = build_auxiliary(sp)
+            d = build_auxiliary(sp)
             while True:
-                _assert_row_is_minus_the_artificial_sum(aux)
+                _assert_row_is_minus_the_artificial_sum(d)
                 states += 1
-                decision = traditional_step(aux, use_trick=use_trick)
+                decision = traditional_step(d, use_trick=use_trick)
                 if decision.status is not None:
                     break
                 r, m = decision.leaving_row, decision.entering_column
-                aux = aux.conjugate_pivot(r, m) if decision.via_conjugate else aux.pivot(r, m)
+                aux = AuxiliaryDictionary(d)
+                d = aux.conjugate_pivot(r, m) if decision.via_conjugate else aux.pivot(r, m)
     assert states > 2 * (len(problems) + len(ladders))
 
 
 def test_conjugate_slack_column_structure(walk_sp):
     # while an artificial is basic, its partner slack column holds exactly
     # -1 in that row and 0 everywhere else, the objective rows included
-    aux = build_auxiliary(walk_sp)
+    d = build_auxiliary(walk_sp)
     while True:
-        d = aux.inner
         for i in artificial_rows(d):
-            col = aux.conjugate_column(i)
+            col = conjugate_column(d, i)
             assert col is not None
             assert d.entry(i, col) == F(-1)
-            assert d.value(aux.aux_num[col]) == F(1)
+            assert d.value(d.row(d.m + 1)[col]) == F(1)
             for k in range(d.m + 1):
                 if k != i:
                     assert d.entry(k, col) == F(0)
         decision = traditional_step(
-            aux, use_trick=False, tie_break=TieBreak.SMALLEST_LABEL
+            d, use_trick=False, tie_break=TieBreak.SMALLEST_LABEL
         )
         if decision.status is not None:
             break
-        aux = aux.pivot(decision.leaving_row, decision.entering_column)
+        d = AuxiliaryDictionary(d).pivot(decision.leaving_row, decision.entering_column)
 
 
 def test_trick_fires_and_matches_the_full_pivot():
     # x1 >= 2 and x1 <= 2 force a ratio tie whose resolution leaves the
     # artificial basic at value zero, which is the trick's cue
     sp = problem_from("max: x1;\nc1: x1 >= 2;\nc2: x1 <= 2;\n")
-    aux = build_auxiliary(sp)
+    d = build_auxiliary(sp)
     fired = False
     while True:
         decision = traditional_step(
-            aux, use_trick=True, tie_break=TieBreak.SMALLEST_LABEL
+            d, use_trick=True, tie_break=TieBreak.SMALLEST_LABEL
         )
         if decision.status is not None:
             break
         if decision.via_conjugate:
             fired = True
             assert decision.ratio == F(0)
+            aux = AuxiliaryDictionary(d)
             full = aux.pivot(decision.leaving_row, decision.entering_column)
             quick = aux.conjugate_pivot(decision.leaving_row, decision.entering_column)
-            assert quick.inner == full.inner
-            assert tuple(map(quick.inner.value, quick.aux_num)) == tuple(
-                map(full.inner.value, full.aux_num)
+            assert quick == full
+            assert tuple(map(quick.value, quick.row(quick.m + 1))) == tuple(
+                map(full.value, full.row(full.m + 1))
             )
             # all rows except the pivot row keep their exact entries
-            pre = aux.inner
-            post = quick.inner
+            pre = d
+            post = quick
             r, m = decision.leaving_row, decision.entering_column
             for i in range(pre.m + 1):
                 want = tuple(
@@ -192,9 +192,9 @@ def test_trick_fires_and_matches_the_full_pivot():
                     assert post.entries[i] == tuple(-v for v in want)
                 else:
                     assert post.entries[i] == want
-            aux = quick
+            d = quick
         else:
-            aux = aux.pivot(decision.leaving_row, decision.entering_column)
+            d = AuxiliaryDictionary(d).pivot(decision.leaving_row, decision.entering_column)
     assert fired
     assert decision.status is Status.FEASIBLE
 
@@ -206,23 +206,24 @@ def test_trick_on_packed_rows_decodes_no_full_grid():
     fired = 0
     for n in (20, 30):
         for shape in af.Shape:
-            aux = build_auxiliary(problem_from(ladder_text(n, shape)))
+            d = build_auxiliary(problem_from(ladder_text(n, shape)))
             while True:
-                decision = traditional_step(aux, use_trick=True)
+                decision = traditional_step(d, use_trick=True)
                 if decision.status is not None:
                     break
                 r, m = decision.leaving_row, decision.entering_column
+                aux = AuxiliaryDictionary(d)
                 if not decision.via_conjugate:
-                    aux = aux.pivot(r, m)
+                    d = aux.pivot(r, m)
                     continue
                 fired += 1
                 quick = aux.conjugate_pivot(r, m)
-                assert isinstance(aux.inner, PackedDictionary)
-                assert aux.inner._num is None and quick.inner._num is None
+                assert isinstance(d, PackedDictionary)
+                assert d._num is None and quick._num is None
                 full = aux.pivot(r, m)
-                assert quick.inner == full.inner
-                assert quick.aux_num == full.aux_num
-                aux = quick
+                assert quick == full
+                assert quick.row(quick.m + 1) == full.row(full.m + 1)
+                d = quick
     assert fired == 1
 
 
@@ -271,7 +272,7 @@ def test_strip_ends_infeasible_with_violation_one(strip_sp):
     assert trace.initial_infeasibility == F(2)
 
 
-def reference_build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
+def reference_build_auxiliary(sp: StandardProblem) -> Dictionary:
     """Auxiliary starting dictionary for the artificial-variable method.
 
     Rows with b_i >= 0 keep their slack basic; rows with b_i < 0 get a
@@ -317,10 +318,8 @@ def reference_build_auxiliary(sp: StandardProblem) -> AuxiliaryDictionary:
     for i in negative:
         for j, x in enumerate(inner.num[i + 1]):
             aux[j] -= x
-    return AuxiliaryDictionary(
-        Dictionary.from_numerators(
-            inner.basis, inner.nonbasis, inner.num + (tuple(aux),), inner.den, mode
-        )
+    return Dictionary.from_numerators(
+        inner.basis, inner.nonbasis, inner.num + (tuple(aux),), inner.den, mode
     )
 
 
@@ -365,17 +364,17 @@ def mixed_problems(draw):
 @settings(max_examples=300, deadline=None)
 @given(mixed_problems())
 def test_build_auxiliary_matches_reference(sp):
-    aux, ref = build_auxiliary(sp), reference_build_auxiliary(sp)
-    assert aux.inner.basis == ref.inner.basis
-    assert aux.inner.nonbasis == ref.inner.nonbasis
+    d, ref = build_auxiliary(sp), reference_build_auxiliary(sp)
+    assert d.basis == ref.basis
+    assert d.nonbasis == ref.nonbasis
     rows = sp.m + 1  # the basis rows; the auxiliary row follows
-    assert aux.inner.num[:rows] == ref.inner.num[:rows]
-    assert repr(aux.inner.num[:rows]) == repr(ref.inner.num[:rows])  # signed zeros too
-    assert aux.inner.den == ref.inner.den
+    assert d.num[:rows] == ref.num[:rows]
+    assert repr(d.num[:rows]) == repr(ref.num[:rows])  # signed zeros too
+    assert d.den == ref.den
     # The reference subtracts from 0.0 and gets 0.0 where minus a sum of
     # zeros is -0.0, and its row is 0.0s where there is no artificial to
     # sum: equal values, not equal bits.
-    assert aux.aux_num == ref.aux_num
+    assert d.row(d.m + 1) == ref.row(ref.m + 1)
 
 
 def _assert_same_start(got: Dictionary, want: Dictionary, rows=None) -> None:
@@ -406,8 +405,8 @@ def test_starting_dictionaries_match_the_value_grid(sp, data):
     aux = build_auxiliary(sp)
     _assert_same_start(initial_dictionary(sp), Dictionary(basis, nonbasis, values, mode))
     # The auxiliary rows are equal values, not equal bits (see above).
-    _assert_same_start(aux.inner, reference_build_auxiliary(sp).inner, sp.m + 1)
-    for d in (initial_dictionary(sp), aux.inner):
+    _assert_same_start(aux, reference_build_auxiliary(sp), sp.m + 1)
+    for d in (initial_dictionary(sp), aux):
         reference = d.entries
         for _ in range(data.draw(st.integers(0, 4))):
             spots = [
@@ -435,8 +434,36 @@ def test_starting_dictionaries_build_no_fraction():
         sp = problem_from(text)  # a fresh problem, whose numerators are not yet cached
         assert fractions_built_during(start, sp) == 0
     sp = problem_from(text)
-    inner = build_auxiliary(sp).inner
+    inner = build_auxiliary(sp)
     assert inner.den == 6
     assert len(artificial_rows(inner)) == 2
     # the hook sees the reference negate b, A and c as Fractions
     assert fractions_built_during(reference_build_auxiliary, sp) > 0
+
+
+def _guard_start(pad: int) -> Dictionary:
+    """An exact auxiliary start where row c1 holds w1 at value zero with
+    x1's entry -1, x1's column is nonzero in row c2 too, and row c3 holds
+    an artificial; `pad` bound rows on fresh columns widen the grid."""
+    text = "max: x1;\nc1: -x1 <= 0;\nc2: x1 <= 3;\nc3: x1 + x2 >= 1;\n" + "".join(
+        f"c{k}: x{k} <= 5;\n" for k in range(4, pad + 4)
+    )
+    return build_auxiliary(problem_from(text))
+
+
+def test_conjugate_guards_raise_on_tuple_and_packed_rows():
+    for pad, packed in ((0, False), (12, True)):
+        d = _guard_start(pad)
+        assert isinstance(d, PackedDictionary) is packed
+        w1, art = d.basis.index(slack(1)) + 1, d.basis.index(artificial(3)) + 1
+        x1, x2 = (d.nonbasis.index(structural(j)) + 1 for j in (1, 2))
+        assert (d.rhs(w1), d.entry(w1, x1), d.entry(w1, x2)) == (0, -1, 0)
+        aux = AuxiliaryDictionary(d)
+        with pytest.raises(ValueError, match="not an artificial"):
+            conjugate_column(d, w1)
+        with pytest.raises(ValueError, match="zero-valued pivot row"):
+            aux.conjugate_pivot(art, conjugate_column(d, art))
+        with pytest.raises(ValueError, match="not -1"):
+            aux.conjugate_pivot(w1, x2)
+        with pytest.raises(RuntimeError, match="leaks into row"):
+            aux.conjugate_pivot(w1, x1)
