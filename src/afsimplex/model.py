@@ -7,6 +7,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import neg
 from typing import Iterable, Mapping
 
 from .numeric import EXACT, ExactMode, NumericMode, Value
@@ -147,6 +148,24 @@ def numerators(rows: Iterable[Iterable], mode: NumericMode) -> tuple[tuple[tuple
     ), den
 
 
+def _negation(mode: NumericMode):
+    """`-x` for the values of one problem.  In exact mode each value object
+    is negated once: parsed and generated problems share one Fraction per
+    distinct value, so a memo keyed by identity hits without hashing a
+    Fraction.  A float is negated in C, faster than any memo."""
+    if not isinstance(mode, ExactMode):
+        return neg
+    negated: dict[int, Fraction] = {}
+
+    def negate(x: Fraction) -> Fraction:
+        y = negated.get(id(x))
+        if y is None:
+            negated[id(x)] = y = -x
+        return y
+
+    return negate
+
+
 def standardize(gp: GeneralProblem) -> StandardProblem:
     """Rewrite gp as max c.x, A x <= b, x >= 0.
 
@@ -158,12 +177,13 @@ def standardize(gp: GeneralProblem) -> StandardProblem:
         raise EmptyProblem("no constraints")
     if not gp.objective:
         raise EmptyProblem("no objective")
+    negate = _negation(mode)
 
     variables = gp.variables
     c = [gp.objective.get(v, mode.zero) for v in variables]
     negated = gp.sense is Sense.MIN
     if negated:
-        c = [-x for x in c]
+        c = list(map(negate, c))
 
     rows: list[tuple[Value, ...]] = []
     b: list[Value] = []
@@ -173,8 +193,8 @@ def standardize(gp: GeneralProblem) -> StandardProblem:
         row = [con.coeffs.get(v, mode.zero) for v in variables]
         rhs = con.rhs
         if flip:
-            row = [-x for x in row]
-            rhs = -rhs
+            row = list(map(negate, row))
+            rhs = negate(rhs)
         rows.append(tuple(row))
         b.append(rhs)
         names.append(name)

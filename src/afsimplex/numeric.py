@@ -21,10 +21,13 @@ POSITIVE = 1
 
 
 class NumericMode:
-    """A mode has three members: the `zero` constant, coerce() and sign().
-    Callers test a value's sign by comparing sign(x) with 0."""
+    """A mode has four members: the `zero` constant, the `eps` threshold,
+    coerce() and sign().  Callers test a value's sign by comparing sign(x)
+    with 0, or, in a scan over many entries, by testing x < -eps and
+    x > eps, which classify as sign() does (a NaN is neither)."""
 
     zero: Value
+    eps: Value
 
     def sign(self, x: Value) -> int:
         raise NotImplementedError
@@ -38,6 +41,7 @@ class ExactMode(NumericMode):
     """Exact rational arithmetic on fractions.Fraction."""
 
     zero = Fraction(0)
+    eps = 0
 
     def coerce(self, value) -> Fraction:
         # The commonest type first, by exact type; subclasses of Fraction

@@ -130,20 +130,21 @@ class PackedDictionary(Dictionary):
         if bound > room:
             bound = self._measured_bound() + grow
         if bound > room:
-            width = _slot_width(bound, self.m)
-            bias = _bias(width, self.n + 1)
-            rows = _encode(map(self._decode, rows), width, bias)
+            wider = _slot_width(bound, self.m)
+            rows = _respaced(rows, width, bias, wider, self.n + 1)
+            width, bias = wider, _bias(wider, self.n + 1)
+        # The pivot row with D added to slot m: a row's slot m then comes out
+        # of the update as (N_im p - N_im (p + D)) sigma / D = -sigma N_im,
+        # its new value, and the pivot row's new value is sigma times the
+        # lifted row with p taken back out of slot m.
         shift = width * m
-        prow = rows[r]
-        new = []
-        for i, (x, a) in enumerate(zip(rows, column)):
-            if i == r:
-                new.append(x * sn // sd + ((den * sn // sd - ps // sd) << shift))
-            else:
-                asn = a * sn
-                new.append((x * ps - asn * prow) // dv + ((-asn // sd) << shift))
+        lifted = rows[r] + (den << shift)
+        new = tuple([
+            (lifted - (p << shift)) * sn // sd if i == r else (x * ps - a * sn * lifted) // dv
+            for i, (x, a) in enumerate(zip(rows, column))
+        ])
         return PackedDictionary._made(
-            basis, nonbasis, tuple(new), ps // sd, self.mode, self._d0, self._scaled,
+            basis, nonbasis, new, ps // sd, self.mode, self._d0, self._scaled,
             width, bias, bound,
         )
 
@@ -167,6 +168,23 @@ def _slots(u: int, width: int, count: int) -> list[int]:
     size = width // 8
     data = u.to_bytes(size * count, "little")
     return [int.from_bytes(data[a : a + size], "little") for a in range(0, len(data), size)]
+
+
+def _respaced(rows, width: int, bias: int, wider: int, slots: int) -> tuple[int, ...]:
+    """Rows of `width`-bit slots biased by `bias` as rows of `wider`-bit
+    slots, with no slot decoded: the biased grid's bytes are written once,
+    each byte lane of the old slots moves into the wider layout with one
+    slice assignment, and the old bias, re-spaced, comes off each row."""
+    size, new = width // 8, wider // 8
+    data = b"".join([(x + bias).to_bytes(size * slots, "little") for x in rows])
+    buf = bytearray(new * slots * len(rows))
+    for b in range(size):
+        buf[b::new] = data[b::size]
+    half = int.from_bytes((bytes(size - 1) + b"\x80" + bytes(new - size)) * slots, "little")
+    view, span = memoryview(buf), new * slots
+    return tuple(
+        [int.from_bytes(view[a : a + span], "little") - half for a in range(0, len(buf), span)]
+    )
 
 
 def _encode(num, width: int, bias: int) -> tuple[int, ...]:

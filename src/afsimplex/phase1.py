@@ -28,8 +28,8 @@ def infeasible_rows(d: Dictionary) -> frozenset[int]:
     """Indices of rows whose basic variable is currently negative.  W and
     phi add them in the set's order, which is not ascending and sets a
     float sum's bits: `list(frozenset({5, 10}))` is `[10, 5]`."""
-    rhs, sign = d.column(0), d.mode.sign
-    return frozenset(i for i in range(1, d.m + 1) if sign(rhs[i]) < 0)
+    rhs, cut = d.column(0), -d.mode.eps
+    return frozenset(i for i in range(1, d.m + 1) if rhs[i] < cut)
 
 
 def infeasibility_sum(d: Dictionary) -> Value:
@@ -55,17 +55,13 @@ def select_entering(
     (which, with infeasible rows present, certifies infeasibility).  The
     entries may be values or numerators over one positive denominator:
     the choice is the same.  Phase 2 and the traditional method price
-    their objective rows with it too.
+    their objective rows with it too.  A NaN entry classifies as no sign,
+    so it is never chosen.
     """
-    best: Optional[int] = None
-    for j in range(len(w)):
-        if mode.sign(w[j]) >= 0:
-            continue
-        if best is None:
-            best = j
-            continue
-        if w[j] < w[best] or (w[j] == w[best] and nonbasis[j] < nonbasis[best]):
-            best = j
+    cut, best = -mode.eps, None
+    for j, x in enumerate(w):
+        if x < cut and (best is None or x < low or (x == low and nonbasis[j] < nonbasis[best])):
+            best, low = j, x
     return None if best is None else best + 1
 
 
@@ -89,18 +85,14 @@ def select_leaving(
     one Fraction, the winner's ratio.
     """
     mode = d.mode
-    exact = isinstance(mode, ExactMode)
+    exact, eps = isinstance(mode, ExactMode), mode.eps
+    cut = -eps
     rhs_column, column = d.column(0), d.column(m)
     best_row: Optional[int] = None
     best = None  # the best row's ratio, in exact mode as (|rhs|, |entry|)
     for i in range(1, d.m + 1):
         rhs, entry = rhs_column[i], column[i]
-        entry_sign = mode.sign(entry)
-        if mode.sign(rhs) < 0:
-            eligible = entry_sign < 0
-        else:
-            eligible = entry_sign > 0
-        if not eligible:
+        if not (entry < cut if rhs < cut else entry > eps):
             continue
         # The common denominator cancels, and on an eligible row
         # rhs / entry = |rhs| / |entry|.

@@ -19,7 +19,7 @@ from afsimplex.dictionary import (
     slack,
     structural,
 )
-from afsimplex.packed import PackedDictionary
+from afsimplex.packed import PackedDictionary, _bias, _encode, _respaced
 from afsimplex.traditional import artificial_rows
 
 from conftest import problem_from
@@ -434,6 +434,7 @@ def test_packed_rows_match_tuple_rows_through_a_pivot_walk(seed, monkeypatch):
     row = plain.num[0]
     packed, plain = _with_row(packed, row), _with_row(plain, row)
     start_width = packed._width
+    widenings = 0  # pivots that re-pack the rows wider
     last = None
     for step in range(40):
         # every step keeps each twin's format, so that the tuple-row update
@@ -459,12 +460,59 @@ def test_packed_rows_match_tuple_rows_through_a_pivot_walk(seed, monkeypatch):
             if plain.num[i][j] != 0
         ]
         r, m = last if last is not None and rng.random() < 0.2 else rng.choice(spots)
+        width = packed._width
         packed, plain = packed.pivot(r, m), plain.pivot(r, m)
         assert packed.row(plain.m + 1) == plain.row(plain.m + 1)
+        widenings += packed._width > width
         last = (r, m)
     assert type(packed) is PackedDictionary and type(plain) is Dictionary
     _assert_same_numerators(packed, plain, rng)
     assert packed._width > start_width
+    # Integer grids widen only when a transpose re-packs them; rational
+    # ones also on pivots, twice on seeds 1 and 7.
+    assert widenings >= {1: 2, 3: 1, 5: 1, 7: 2}.get(seed, 0)
+
+
+@pytest.mark.parametrize("width, wider", [(8, 16), (112, 144)])
+@pytest.mark.parametrize("seed", range(4))
+def test_respacing_widens_rows_as_decoding_and_encoding_them(seed, width, wider):
+    # A 7 x 6 grid plus one row past m, with slots at both ends of the
+    # signed k-bit range among random ones.
+    rng = random.Random(seed)
+    top = 2 ** (width - 1)
+    num = [[rng.choice((-top, top - 1, rng.randrange(-top, top))) for _ in range(6)]
+           for _ in range(8)]
+    num[0][0], num[-1][-1] = -top, top - 1
+    bias = _bias(width, 6)
+    basis = tuple(slack(i + 1) for i in range(6))
+    nonbasis = tuple(structural(j + 1) for j in range(5))
+    d = PackedDictionary._made(
+        basis, nonbasis, _encode(num, width, bias), 1, af.EXACT, 1, frozenset(basis),
+        width, bias, width - 1,
+    )
+    assert d.num == tuple(map(tuple, num))
+    rows = _respaced(d.rows, width, bias, wider, 6)
+    assert rows == _encode(map(d._decode, d.rows), wider, _bias(wider, 6))
+    wide = PackedDictionary._made(
+        basis, nonbasis, rows, 1, af.EXACT, 1, frozenset(basis),
+        wider, _bias(wider, 6), width - 1,
+    )
+    assert wide.num == d.num
+
+
+def test_integer_pivots_widen_the_rows_and_match_tuple_rows(monkeypatch):
+    # Eliminating down the diagonal of an integer grid grows its entries
+    # to the minors of the start, past the slots a start packs.
+    rng = random.Random(5)
+    entries = tuple(tuple(F(rng.randint(-999, 999)) for _ in range(17)) for _ in range(17))
+    packed, plain = _twins(entries, monkeypatch)
+    widenings = 0
+    for k in range(1, 17):
+        width = packed._width
+        packed, plain = packed.pivot(k, k), plain.pivot(k, k)
+        widenings += packed._width > width
+        assert packed.num == plain.num and packed.den == plain.den
+    assert widenings >= 2
 
 
 def test_measured_bound_refuses_a_slot_at_two_to_the_t():

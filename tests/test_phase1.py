@@ -23,6 +23,7 @@ from afsimplex.phase1 import (
     infeasible_rows,
     phase1_objective_vector,
     phase1_step,
+    select_entering,
     select_leaving,
 )
 from afsimplex.trace import Decision, SolveConfig, Status, TieBreak
@@ -118,6 +119,24 @@ def test_pricing_vector_sums_infeasible_rows(walk_sp):
     assert rows == frozenset({2, 3, 4, 5})
     assert phase1_objective_vector(d, rows) == (F(-9), F(-8))
     assert infeasibility_sum(d) == F(64)
+
+
+def test_entering_column_is_the_most_negative_then_the_smallest_label():
+    labels = (structural(2), slack(1), structural(1), structural(3))
+    assert select_entering([-3, -5, 4, -5], labels, EXACT) == 4
+    assert select_entering([F(-5, 2), F(-5, 2), 0, 1], labels, EXACT) == 1
+    assert select_entering([0, 0, 2, 0], labels, EXACT) is None
+    # within eps of zero is no sign, however it orders
+    assert select_entering([-1e-10, 3.0, -2e-10, 1.0], labels, FloatMode(1e-9)) is None
+
+
+def test_a_nan_entry_is_never_the_entering_column():
+    nan, mode = float("nan"), FloatMode(1e-9)
+    labels = tuple(structural(j + 1) for j in range(3))
+    # min() over the raw entries would return the NaN that comes first
+    assert select_entering([nan, -1.0, -0.5], labels, mode) == 2
+    assert select_entering([-0.5, nan, -1.0], labels, mode) == 3
+    assert select_entering([nan, 1.0, nan], labels, mode) is None
 
 
 def test_zero_rhs_row_is_not_eligible():
