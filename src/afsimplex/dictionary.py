@@ -25,8 +25,9 @@ column updates them like the others (the traditional method keeps its
 auxiliary objective there, and hands it on to phase 2, which never reads
 it), and the negative transpose takes none of them.
 
-Steps read the numerators through three methods: `column(j)` (column 0
-and the last other column read are kept per dictionary), `row(i)` and
+Steps read the numerators through three methods: `column(j)`, which
+keeps every column it decodes in one cache per dictionary (a pivot,
+dropped column or negative transpose starts it empty), `row(i)` and
 `sum_rows(rows)`.  How a row is stored is known only here and in
 `packed`: smaller grids and float mode keep a tuple per row in `num`, and
 an exact grid of at least PACK_CELLS cells is a `packed.PackedDictionary`,
@@ -49,10 +50,13 @@ from .model import StandardProblem, numerators
 from .numeric import EXACT, ExactMode, NumericMode, Value
 
 # Exact grids of at least this many cells, (m + 1) * (n + 1), hold each row
-# as one int (packed.PackedDictionary).  Solving generate_lp(seed, n, n)
-# both ways, packed rows took 1.3x the time at 36 cells, 1.1x at 144, 1.0x
-# at 256, 0.8x at 324 and 0.66x at 441.  The oracle sweep's grids (at most
-# 7 x 13) stay below it and the exact ladders (21 x 21 and up) above it.
+# as one int (packed.PackedDictionary).  Solving generate_lp(seed, n, n) of
+# every shape both ways (best of 5, median of seeds 1-3), packed rows took
+# 1.19x the time of tuple rows at 36 cells, 1.09x at 81, 0.97x at 144, 0.80x
+# at 256, 0.75x at 324 and 0.70x at 441.  No benchmark grid lies between the
+# oracle sweep's (8 x 13 at most) and the exact ladders' (21 x 21 and up), so
+# none can show a lower value helping; packing every grid slowed the sweep
+# by 12-14%.
 PACK_CELLS = 256
 
 
@@ -115,7 +119,7 @@ class Dictionary:
 
     __slots__ = (
         "basis", "nonbasis", "num", "den", "mode", "m", "n", "_exact", "_d0", "_scaled",
-        "_rhs", "_col",
+        "_cols",
     )
 
     def __new__(
@@ -171,7 +175,7 @@ class Dictionary:
         self._exact = isinstance(mode, ExactMode)
         self._d0 = d0
         self._scaled = scaled
-        self._rhs = self._col = None
+        self._cols = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Dictionary):
@@ -208,15 +212,12 @@ class Dictionary:
         return self.num[i]
 
     def column(self, j: int) -> tuple:
-        """Numerators of column j, every row (rows past m too); column 0
-        and the last other column read are kept."""
-        if j == 0:
-            if self._rhs is None:
-                self._rhs = self._column(0)
-            return self._rhs
-        if self._col is None or self._col[0] != j:
-            self._col = (j, self._column(j))
-        return self._col[1]
+        """Numerators of column j, every row (rows past m too), kept in
+        the dictionary's one column cache: each is decoded at most once."""
+        cols = self._cols
+        if j not in cols:
+            cols[j] = self._column(j)
+        return cols[j]
 
     def _column(self, j: int) -> tuple:
         return tuple(map(itemgetter(j), self.num))
@@ -262,33 +263,31 @@ class Dictionary:
         """
         if not (1 <= r <= self.m and 1 <= m <= self.n):
             raise IndexError(f"pivot ({r}, {m}) outside dictionary")
+        if self.mode.sign(self.column(m)[r]) == 0:
+            raise ZeroPivot(f"entry ({r}, {m}) = {self.entry(r, m)!r} classifies as zero")
         basis = list(self.basis)
         nonbasis = list(self.nonbasis)
         basis[r - 1], nonbasis[m - 1] = nonbasis[m - 1], basis[r - 1]
         return self._pivoted(r, m, tuple(basis), tuple(nonbasis))
 
-    def _zero_pivot(self, r: int, m: int) -> ZeroPivot:
-        return ZeroPivot(f"entry ({r}, {m}) = {self.entry(r, m)!r} classifies as zero")
-
     def _pivoted(self, r: int, m: int, basis, nonbasis) -> "Dictionary":
         prow = self.num[r]
         p = prow[m]
-        if self.mode.sign(p) == 0:
-            raise self._zero_pivot(r, m)
         num = []
         if self._exact:
             # With sigma = sn / sd:  N'_ij = (N_ij * p - N_im * N_rj) * sigma / D,
             # N'_rj = sigma * N_rj, N'_im = -sigma * N_im, N'_rm = sigma * D and
-            # D' = sigma * p.
+            # D' = sigma * p.  Lifted to p + D in slot m, the pivot row gives
+            # every other row's slot m, -sigma * N_im, by the first formula.
             sn, sd, ps, dv = self._factors(r, m, p)
+            head, tail = prow[:m], prow[m + 1 :]
+            lifted = (*head, p + self.den, *tail)
             for i, row in enumerate(self.num):
                 if i == r:
-                    new = [y * sn // sd for y in prow]
-                    new[m] = self.den * sn // sd
+                    new = [y * sn // sd for y in (*head, self.den, *tail)]
                 else:
                     asn = row[m] * sn
-                    new = [(x * ps - asn * y) // dv for x, y in zip(row, prow)]
-                    new[m] = -asn // sd
+                    new = [(x * ps - asn * y) // dv for x, y in zip(row, lifted)]
                 num.append(tuple(new))
             den = ps // sd
         else:

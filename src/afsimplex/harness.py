@@ -113,9 +113,8 @@ def solve(
             # negative.  In float mode at --eps 0.1 a basic structural can
             # end negative: x2 at -0.75 on generate_lp(88, 5, 3) and x4 at
             # -0.27 on generate_lp(106, 5, 6), both INFEASIBLE_BIASED.
-            rows = frozenset(
-                i for i in artificial_rows(d1) if d1.mode.sign(d1.rhs(i)) > 0
-            )
+            rhs = d1.column(0)
+            rows = frozenset(i for i in artificial_rows(d1) if d1.mode.sign(rhs[i]) > 0)
         names = sorted(d1.row_label(i).name for i in rows)
         certificates = Certificates(infeasible_rows=tuple(names))
     else:

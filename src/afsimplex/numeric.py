@@ -22,15 +22,22 @@ POSITIVE = 1
 
 class NumericMode:
     """A mode has four members: the `zero` constant, the `eps` threshold,
-    coerce() and sign().  Callers test a value's sign by comparing sign(x)
-    with 0, or, in a scan over many entries, by testing x < -eps and
-    x > eps, which classify as sign() does (a NaN is neither)."""
+    coerce() and sign().  sign() is the eps rule, the one for both modes:
+    above eps is positive, below -eps negative, anything else (a NaN
+    included) zero.  Callers test a value's sign by comparing sign(x)
+    with 0; a scan over many entries inlines the rule as x < -eps and
+    x > eps."""
 
     zero: Value
     eps: Value
 
     def sign(self, x: Value) -> int:
-        raise NotImplementedError
+        eps = self.eps
+        if x > eps:
+            return POSITIVE
+        if x < -eps:
+            return NEGATIVE
+        return ZERO
 
     def coerce(self, value) -> Value:
         raise NotImplementedError
@@ -60,13 +67,6 @@ class ExactMode(NumericMode):
             return Fraction(int(value))
         return Fraction(value)
 
-    def sign(self, x: Value) -> int:
-        if x > 0:
-            return POSITIVE
-        if x < 0:
-            return NEGATIVE
-        return ZERO
-
 
 @dataclass(frozen=True)
 class FloatMode(NumericMode):
@@ -86,13 +86,6 @@ class FloatMode(NumericMode):
         if isinstance(value, str):
             return float(Fraction(value))
         return float(value)
-
-    def sign(self, x: Value) -> int:
-        if x > self.eps:
-            return POSITIVE
-        if x < -self.eps:
-            return NEGATIVE
-        return ZERO
 
 
 EXACT = ExactMode()

@@ -112,8 +112,6 @@ class PackedDictionary(Dictionary):
     def _pivoted(self, r: int, m: int, basis, nonbasis) -> "PackedDictionary":
         column = self.column(m)
         p = column[r]
-        if p == 0:
-            raise self._zero_pivot(r, m)
         den = self.den
         sn, sd, ps, dv = self._factors(r, m, p)
         # With every |N| and D at most 2**t and A = max_i |N_im|, each new
@@ -133,10 +131,7 @@ class PackedDictionary(Dictionary):
             wider = _slot_width(bound, self.m)
             rows = _respaced(rows, width, bias, wider, self.n + 1)
             width, bias = wider, _bias(wider, self.n + 1)
-        # The pivot row with D added to slot m: a row's slot m then comes out
-        # of the update as (N_im p - N_im (p + D)) sigma / D = -sigma N_im,
-        # its new value, and the pivot row's new value is sigma times the
-        # lifted row with p taken back out of slot m.
+        # Dictionary._pivoted's update through the lifted pivot row, on whole rows.
         shift = width * m
         lifted = rows[r] + (den << shift)
         new = tuple([

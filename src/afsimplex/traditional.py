@@ -28,7 +28,7 @@ from typing import Optional
 from .dictionary import Dictionary, LabelKind, artificial, slack, structural
 from .model import StandardProblem
 from .numeric import ExactMode
-from .phase1 import select_entering, select_leaving
+from .phase1 import NoEligibleRow, select_entering, select_leaving
 from .trace import Decision, SolveConfig, Status, TieBreak, Trace, drive
 
 
@@ -162,9 +162,9 @@ def traditional_step(
 
     best_row, best_ratio = select_leaving(d, entering, tie_break)
     if best_row is None:
-        # The auxiliary objective is bounded above by zero, so a fully
-        # nonpositive column cannot occur on consistent input.
-        raise RuntimeError(f"auxiliary column {entering} has no positive entry")
+        # The auxiliary objective is bounded above by zero, so in exact mode
+        # a fully nonpositive column cannot occur.
+        raise NoEligibleRow(f"auxiliary column {entering} has no positive entry")
     return Decision(entering, best_row, best_ratio, None, phi)
 
 

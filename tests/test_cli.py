@@ -438,6 +438,9 @@ BREAKDOWN_4 = (
     "c4: -3 x1 <= -1;\nc5: -x1 >= -8;\n"
 )
 BREAKDOWN_TRICK = "max: x1;\nc1: 9 x1 >= 9;\nc2: 8 x1 >= 8;\n"
+BREAKDOWN_BAND = "".join(
+    ["max: x1;\n"] + [f"c{i}: 6/10000000000 x1 >= 1;\n" for i in (1, 2, 3)]
+)
 
 
 @pytest.mark.parametrize(
@@ -456,10 +459,13 @@ BREAKDOWN_TRICK = "max: x1;\nc1: 9 x1 >= 9;\nc2: 8 x1 >= 8;\n"
         (BREAKDOWN_4, "2", ["compare"], 0),
         # the shortcut's pivot entry, -1, counts as zero
         (BREAKDOWN_TRICK, "1", ["solve", "--method", "trad", "--trick"], 2),
+        # every entry inside the band, their sum below it: no row is eligible
+        (BREAKDOWN_BAND, "1e-9", ["solve"], 2),
+        (BREAKDOWN_BAND, "1e-9", ["solve", "--method", "trad"], 2),
     ],
     ids=[
         "1-solve", "1-compare", "2-solve", "3-trad", "3-compare", "4-solve", "4-compare",
-        "trick",
+        "trick", "band-af", "band-trad",
     ],
 )
 def test_float_breakdown_is_data_error(lp_file, capsys, text, eps, args, exact_code):

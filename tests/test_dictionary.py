@@ -1,6 +1,7 @@
 """Dictionary pivots, feasibility flags, and the negative transpose."""
 
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -125,6 +126,31 @@ def test_pivot_rejects_zero_entry(walk_sp):
     assert d.entry(2, 1) == F(0)
     with pytest.raises(ZeroPivot):
         d.pivot(2, 1)
+
+
+@pytest.mark.parametrize(
+    "size, mode, zero, kind",
+    [
+        (16, af.EXACT, F(0), PackedDictionary),
+        (4, af.FloatMode(1e-9), 1e-12, Dictionary),
+    ],
+    ids=["packed", "float-band"],
+)
+def test_pivot_rejects_an_entry_classified_as_zero(size, mode, zero, kind):
+    # The test in `pivot` serves every row format: besides tuple rows
+    # (above), an exact 0 on a 16 x 16 packed grid and a float inside the
+    # eps band.
+    rng = random.Random(size)
+    entries = [[mode.coerce(rng.choice([-3, -1, 2, 5])) for _ in range(size)] for _ in range(size)]
+    entries[2][3] = zero
+    labels = tuple(slack(i + 1) for i in range(size - 1))
+    cols = tuple(structural(j + 1) for j in range(size - 1))
+    d = Dictionary(labels, cols, entries, mode)
+    assert type(d) is kind
+    assert size * size >= dictionary.PACK_CELLS or kind is Dictionary
+    with pytest.raises(ZeroPivot, match=re.escape(f"entry (2, 3) = {zero!r} classifies")):
+        d.pivot(2, 3)
+    assert d.pivot(2, 2).num[2][2] * d.num[2][2] > 0
 
 
 def test_pivot_out_of_range(walk_sp):
@@ -588,3 +614,38 @@ def test_only_large_exact_grids_are_packed():
             rows = artificial_rows(d)
             assert bool(rows) is (status is af.Status.INFEASIBLE)
             assert d.row(d.m + 1) == tuple(-x for x in d.sum_rows(rows))
+
+
+def test_each_column_is_decoded_at_most_once_per_dictionary(monkeypatch):
+    # `column` keeps every column it decodes, so whole solves, both methods
+    # and the dual phase 1 (which reads negative transposes), decode no
+    # (dictionary, column) twice, on tuple and packed rows alike.
+    decoded = []  # (dictionary, j) per decode; holding d keeps ids unique
+    for cls in (Dictionary, PackedDictionary):
+        def counting(self, j, original=cls.__dict__["_column"]):
+            decoded.append((self, j))
+            return original(self, j)
+
+        monkeypatch.setattr(cls, "_column", counting)
+    for n in (5, 15):
+        sp = af.standardize(af.generate_lp(1, n, n))
+        af.compare(sp)
+        for method in af.Method:
+            af.solve(sp, method)
+        af.run_dual_phase1(af.initial_dictionary(sp))
+    keys = [(id(d), j) for d, j in decoded]
+    assert len(keys) == len(set(keys))
+    assert {type(d) for d, _ in decoded} == {Dictionary, PackedDictionary}
+    # A pivot, a dropped column and a negative transpose each start with no
+    # column cached: each of their columns is decoded on its first read.
+    for n in (5, 15):
+        d = af.initial_dictionary(af.standardize(af.generate_lp(1, n, n)))
+        for j in range(d.n + 1):
+            d.column(j)
+        r = next(i for i in range(1, d.m + 1) if d.column(1)[i] != 0)
+        decoded.clear()
+        for derived in (d.pivot(r, 1), d.drop_column(1), d.negative_transpose()):
+            for j in (*range(derived.n + 1), 0):
+                derived.column(j)
+            assert [j for e, j in decoded if e is derived] == list(range(derived.n + 1))
+        assert all(e is not d for e, _ in decoded)

@@ -6,6 +6,7 @@ import pytest
 
 import afsimplex as af
 from afsimplex.harness import Method, compare, solve
+from afsimplex.phase1 import NoEligibleRow
 from afsimplex.trace import SolveConfig, Status, TieBreak
 
 from conftest import problem_from
@@ -118,3 +119,15 @@ def test_phase1_iteration_budget_surfaces(walk_sp):
     out = solve(walk_sp, Method.ARTIFICIAL_FREE, SolveConfig(max_iterations=1))
     assert out.status is Status.ITERATION_LIMIT
     assert out.phase2 is None
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_an_empty_ratio_test_raises_no_eligible_row(method):
+    # Each 6e-10 sits inside the float band, but the summed price of x1
+    # (W in af, the auxiliary row in trad) is below -eps, so the priced
+    # column has no eligible row.  Exact mode finds the problem unbounded.
+    text = "max: x1;\n" + "".join(f"c{i}: 6/10000000000 x1 >= 1;\n" for i in (1, 2, 3))
+    sp = af.standardize(af.parse_lp(text, af.FloatMode()))
+    with pytest.raises(NoEligibleRow, match="column 1"):
+        solve(sp, method)
+    assert solve(problem_from(text), method).status is Status.UNBOUNDED

@@ -1,5 +1,6 @@
 """Arithmetic backends: exact rationals and epsilon-classified floats."""
 
+import math
 from enum import IntEnum
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from afsimplex import EXACT, FloatMode, parse_lp
-from afsimplex.numeric import NEGATIVE, POSITIVE, ZERO
+from afsimplex.numeric import NEGATIVE, POSITIVE, ZERO, ExactMode, NumericMode
 
 
 def test_exact_coerce_accepts_int_str_fraction():
@@ -29,12 +30,52 @@ def test_exact_sign():
     assert EXACT.sign(Fraction(1, 10**12)) == POSITIVE
 
 
+EPS = 1e-9
+BAND_EDGES = [
+    EPS, -EPS, math.nextafter(EPS, 1), math.nextafter(-EPS, -1),
+    math.nextafter(EPS, 0), math.nextafter(-EPS, 0),
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+]
+
+
 def test_float_sign_band():
-    mode = FloatMode(eps=1e-9)
+    mode = FloatMode(eps=EPS)
     assert mode.sign(5e-10) == ZERO
     assert mode.sign(-5e-10) == ZERO
     assert mode.sign(2e-9) == POSITIVE
     assert mode.sign(-2e-9) == NEGATIVE
+    # +-eps, one step past and one step inside each, +-0.0, +-inf and NaN
+    assert [mode.sign(x) for x in BAND_EDGES] == [
+        ZERO, ZERO, POSITIVE, NEGATIVE, ZERO, ZERO, ZERO, ZERO, POSITIVE, NEGATIVE, ZERO,
+    ]
+
+
+SIGNED = st.one_of(st.integers(), st.fractions(), st.sampled_from([Fraction(0), 0]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mode_x=st.one_of(
+        st.tuples(st.just(EXACT), SIGNED),
+        st.tuples(
+            st.just(FloatMode(EPS)),
+            st.one_of(st.floats(), st.sampled_from(BAND_EDGES), SIGNED),
+        ),
+    )
+)
+@example(mode_x=(EXACT, Fraction(-1, 10**30)))
+@example(mode_x=(EXACT, 0))
+def test_sign_is_the_eps_rule_in_both_modes(mode_x):
+    # Scans inline sign() as x < -eps and x > eps; the two must agree on
+    # every value, the band's edges and NaN (neither) included.
+    mode, x = mode_x
+    assert (mode.sign(x) < 0) is (x < -mode.eps)
+    assert (mode.sign(x) > 0) is (x > mode.eps)
+    assert mode.sign(x) in (NEGATIVE, ZERO, POSITIVE)
+
+
+def test_both_modes_share_one_sign():
+    assert ExactMode.sign is FloatMode.sign is NumericMode.sign
 
 
 def test_float_coerce():
