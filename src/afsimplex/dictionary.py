@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from enum import IntEnum
 from fractions import Fraction
-from operator import itemgetter
+from operator import countOf, itemgetter
 from typing import NamedTuple
 
 from .model import StandardProblem, numerators
@@ -322,22 +322,24 @@ class Dictionary:
         num = tuple(row[:m] + row[m + 1 :] for row in self.num)
         return self._of(self.basis, nonbasis, num, self.den, self.mode, self._d0, self._scaled)
 
-    def structural_column(self, j: int, value) -> list:
-        """Column j at the basic structural variables, each numerator read
-        through `value`, as a list by structural index (the structural
+    def structural_column(self, j: int, negate: bool = False) -> list:
+        """The values of column j, negated with `negate`, at the basic
+        structural variables, as a list by structural index (the structural
         labels are x1..xp) with zeros at the nonbasic ones."""
         kind = LabelKind.STRUCTURAL
-        values = [self.mode.zero] * sum(
-            [label.kind is kind for label in self.basis + self.nonbasis]
-        )
-        for label, x in zip(self.basis, self.column(j)[1:]):
+        p = countOf(map(itemgetter(0), self.basis), kind)
+        p += countOf(map(itemgetter(0), self.nonbasis), kind)
+        values = [self.mode.zero] * p
+        col, den, exact = self.column(j), self.den, self._exact
+        for i, label in enumerate(self.basis, 1):
             if label.kind is kind:
-                values[label.index - 1] = value(x)
+                x = -col[i] if negate else col[i]
+                values[label.index - 1] = Fraction(x, den) if exact else x
         return values
 
     def corner(self) -> tuple[Value, ...]:
         """Structural-variable values at the current basic solution."""
-        return tuple(self.structural_column(0, self.value))
+        return tuple(self.structural_column(0))
 
     def negative_transpose(self) -> "Dictionary":
         """The dual dictionary D*: d*_ji = -d_ij with border rows swapped.

@@ -42,7 +42,11 @@ class GeneralProblem:
 
     Every variable is nonnegative.  The variable registry fixes column
     order; when omitted it is derived from order of appearance in
-    the objective and then the constraints.
+    the objective and then the constraints.  The problem keeps its own
+    copy of the objective and of every row's coefficients, with each value
+    of the mode's exact type: a mapping whose values already have that
+    type is copied as it is, and only the values of any other type go
+    through `mode.coerce`.
     """
 
     sense: Sense
@@ -56,28 +60,28 @@ class GeneralProblem:
         seen = set(registry)
         if len(seen) != len(registry):
             raise ValueError("variable names must be unique")
-        mentioned = list(self.objective)
-        for con in self.constraints:
-            mentioned.extend(con.coeffs)
-        for var in mentioned:
-            if var not in seen:
-                seen.add(var)
-                registry.append(var)
+        for coeffs in (self.objective, *[con.coeffs for con in self.constraints]):
+            if not seen.issuperset(coeffs):
+                new = [var for var in coeffs if var not in seen]
+                registry += new
+                seen.update(new)
         object.__setattr__(self, "variables", tuple(registry))
-        # A value already of the mode's type skips the coerce call.
         coerce, kind = self.mode.coerce, type(self.mode.zero)
-        object.__setattr__(
-            self,
-            "objective",
-            {v: x if type(x) is kind else coerce(x) for v, x in self.objective.items()},
-        )
+        kinds = {kind}
+
+        def typed(coeffs: Mapping[str, Value]) -> dict[str, Value]:
+            if kinds.issuperset(map(type, coeffs.values())):
+                return dict(coeffs)
+            return {v: x if type(x) is kind else coerce(x) for v, x in coeffs.items()}
+
+        object.__setattr__(self, "objective", typed(self.objective))
         names = [con.name for con in self.constraints]
         if len(set(names)) != len(names):
             raise ValueError("constraint names must be unique")
         coerced = tuple(
             Constraint(
                 con.name,
-                {v: x if type(x) is kind else coerce(x) for v, x in con.coeffs.items()},
+                typed(con.coeffs),
                 con.relation,
                 con.rhs if type(con.rhs) is kind else coerce(con.rhs),
             )

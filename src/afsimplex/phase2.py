@@ -43,7 +43,7 @@ def improving_ray(d: Dictionary, column: int) -> tuple[Value, ...]:
     variable by -d_i,column * t; projecting onto structural labels gives
     a ray that satisfies every original row with slack to spare.
     """
-    ray = d.structural_column(column, lambda x: -d.value(x))
+    ray = d.structural_column(column, negate=True)
     target = d.column_label(column)
     if target.kind is LabelKind.STRUCTURAL:
         ray[target.index - 1] = d.mode.coerce(1)

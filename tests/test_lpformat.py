@@ -595,11 +595,27 @@ FLOAT_VALUES = st.one_of(
 POOL = ("x1", "x2", "x3", "x4")
 
 
+# Values that equal another, or 0, in the writer's per-call memo: each use
+# is a fresh object of its own.
+TWINS = {EXACT: (F(3, 2), F(-3, 2), F(1), F(0)), FloatMode(): (0.0, -0.0, 1.5, -1.5, 1.0)}
+
+
 @st.composite
 def problems(draw, values, mode: NumericMode, registry: bool = False):
     """A problem over some of POOL: any variable may be missing from the
     objective or from any row.  Its registry is derived from the terms, or,
-    with `registry`, listed explicitly: reordered, with unused variables."""
+    with `registry`, listed explicitly: reordered, with unused variables.
+    Each value is drawn afresh, or one drawn value object fills every
+    term, or each value is a new copy of one of the mode's TWINS, so the
+    writer's memo by value object meets hits and equal non-identical
+    values alike."""
+    how = draw(st.sampled_from(["fresh", "shared", "twins"]))
+    if how == "shared":
+        shared = draw(values)
+        values = st.just(shared)
+    elif how == "twins":
+        values = st.sampled_from(TWINS[mode]).map(lambda x: type(x)(str(x)))
+
     def terms():
         names = draw(st.lists(st.sampled_from(POOL), unique=True, max_size=len(POOL)))
         return {name: draw(values) for name in names}
@@ -630,6 +646,24 @@ def test_format_matches_reference_writer(values, mode, data):
         assert written(format_lp, gp) == (EmptyProblem, "no objective")
     else:
         assert written(format_lp, gp) == written(reference_format_lp, gp)
+
+
+@pytest.mark.parametrize("mode", [EXACT, FloatMode()], ids=["exact", "float"])
+def test_format_of_problems_written_in_turn_matches_the_reference(mode):
+    # Each problem is dropped before the next is built, so the next one's
+    # new values may take the ids of the last one's: a memo kept from one
+    # call to the next would write the old values.
+    for k in range(300):
+        values = [mode.coerce(F(k * j + 1, j + 2) * (-1) ** j) for j in range(4)]
+        gp = GeneralProblem(
+            Sense.MAX,
+            {"x1": values[0], "x2": values[1]},
+            (Constraint("c1", {"x1": values[2], "x2": values[0]}, Relation.LE, values[3]),),
+            mode=mode,
+        )
+        del values
+        assert format_lp(gp) == reference_format_lp(gp)
+        del gp
 
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])

@@ -1,5 +1,6 @@
 """General-form modeling and conversion to the standard max/<= form."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -138,3 +139,89 @@ def test_values_of_the_mode_type_are_kept_and_floats_still_refused():
     )
     assert floats.objective["x"] == 0.5 and floats.constraints[0].coeffs["x"] == 0.25
     assert type(floats.constraints[0].rhs) is float
+
+
+def test_rows_of_any_input_type_store_the_mode_type():
+    typed = {"x": F(2), "y": F(-1, 3)}
+    exact = af.GeneralProblem(
+        af.Sense.MAX,
+        {"x": 1, "y": "1/2"},
+        (
+            af.Constraint("c1", typed, af.Relation.LE, F(4)),
+            af.Constraint("c2", {"x": 3, "y": F(1)}, af.Relation.GE, "5/2"),
+            af.Constraint("c3", {"x": "7", "y": -2}, af.Relation.EQ, 0),
+        ),
+    )
+    floats = af.GeneralProblem(
+        af.Sense.MIN,
+        {"x": 1.0, "y": F(1, 2)},
+        (
+            af.Constraint("c1", {"x": 2.0, "y": -0.25}, af.Relation.LE, 4.0),
+            af.Constraint("c2", {"x": 3, "y": "1/4"}, af.Relation.GE, F(5, 2)),
+            af.Constraint("c3", typed, af.Relation.EQ, 0),
+        ),
+        mode=af.FloatMode(1e-9),
+    )
+    for gp, kind in ((exact, F), (floats, float)):
+        values = [*gp.objective.values()]
+        for con in gp.constraints:
+            values += [*con.coeffs.values(), con.rhs]
+        assert {type(x) for x in values} == {kind}
+    assert exact.objective == {"x": 1, "y": F(1, 2)} and exact.constraints[2].coeffs["x"] == 7
+    # a row typed for exact mode is coerced by a float problem
+    assert floats.constraints[2].coeffs == {"x": 2.0, "y": -1 / 3}
+
+
+def test_a_typed_row_is_copied_not_shared():
+    coeffs, objective = {"x": F(1), "y": F(2)}, {"x": F(3)}
+    gp = af.GeneralProblem(
+        af.Sense.MAX, objective, (af.Constraint("c1", coeffs, af.Relation.LE, F(4)),)
+    )
+    kept = gp.constraints[0].coeffs
+    assert kept == coeffs and kept is not coeffs and gp.objective is not objective
+    text = af.format_lp(gp)
+    coeffs["x"] = F(9)
+    del coeffs["y"]
+    objective["z"] = F(1)
+    assert gp.constraints[0].coeffs == {"x": F(1), "y": F(2)}
+    assert gp.objective == {"x": F(3)} and af.format_lp(gp) == text
+
+
+def test_a_typed_problem_still_refuses_floats_in_exact_mode():
+    for objective, coeffs in (({"x": F(1), "y": 0.5}, {"x": F(1)}), ({"x": F(1)}, {"x": 0.5})):
+        with pytest.raises(TypeError, match="float 0.5 given in exact mode"):
+            af.GeneralProblem(
+                af.Sense.MAX, objective, (af.Constraint("c1", coeffs, af.Relation.LE, F(1)),)
+            )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_problem_rebuilt_from_another_writes_as_one_built_afresh(seed):
+    # perfbench's relabel hands a new problem the constraints of an old one,
+    # shuffled, with the variables shuffled too
+    rng = random.Random(seed)
+    gp = af.generate_lp(seed, 4, 5, shape=list(af.Shape)[seed % 3])
+    variables = list(gp.variables)
+    rng.shuffle(variables)
+    constraints = list(gp.constraints)
+    rng.shuffle(constraints)
+    rebuilt = af.GeneralProblem(
+        gp.sense,
+        {v: gp.objective[v] for v in variables},
+        tuple(constraints),
+        variables=tuple(variables),
+    )
+    # every value of this one is a new object, coerced from its text
+    fresh = af.GeneralProblem(
+        gp.sense,
+        {v: str(gp.objective[v]) for v in variables},
+        tuple(
+            af.Constraint(
+                con.name, {v: str(x) for v, x in con.coeffs.items()}, con.relation, str(con.rhs)
+            )
+            for con in constraints
+        ),
+        variables=tuple(variables),
+    )
+    assert af.format_lp(rebuilt) == af.format_lp(fresh)
+    assert rebuilt == fresh
